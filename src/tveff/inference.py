@@ -134,12 +134,17 @@ def bootstrap_bands(
     X: ReturnMatrix | np.ndarray,
     spec: BootstrapSpec,
     pretested: bool = False,
+    *,
+    path: EfficiencyPath | None = None,
 ) -> EfficiencyPath:
     """Efficiency path of ``X`` with equal-tail null bands attached.
 
     ``pretested=False`` warns that stationarity was not checked first.
     A zero-variance input yields the degenerate all-zero path with
-    zero-width bands rather than an error.
+    zero-width bands rather than an error.  A caller that already holds
+    ``tv_efficiency_path(solve_tvvar(X, spec.q, spec.lam))`` passes it as
+    ``path`` and the bands are attached to it instead of solving the
+    original sample again.
     """
     if not pretested:
         warnings.warn(
@@ -159,8 +164,12 @@ def bootstrap_bands(
             labels=tuple(f"x{j + 1}" for j in range(values.shape[1])),
         )
 
-    fit = solve_tvvar(X, q=spec.q, lam=spec.lam)
-    path = tv_efficiency_path(fit)
+    if path is None:
+        path = tv_efficiency_path(solve_tvvar(X, q=spec.q, lam=spec.lam))
+    elif len(path) != values.shape[0] - spec.q:
+        raise DataError(
+            f"path has {len(path)} periods, expected T-q={values.shape[0] - spec.q}"
+        )
 
     zstar = _null_zeta_paths(values, spec)
     zsorted = np.sort(zstar, axis=0)

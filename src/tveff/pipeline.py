@@ -613,7 +613,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         track(p_tv)
 
         stage = "bootstrap"
-        ep = bootstrap_bands(returns, config.bootstrap_spec(q), pretested=True)
+        ep = bootstrap_bands(returns, config.bootstrap_spec(q), pretested=True, path=raw_path)
         p_z = out / "zeta_path.csv"
         write_zeta_csv(p_z, ep)
         p_zj = out / "zeta_path.json"

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .series import ReturnMatrix
+from .tvvar import _COND_LIMIT, zeta_from_coefficient_stack
 
 __all__ = [
     "VarFit",
@@ -338,12 +339,14 @@ def long_run_multiplier(A: list[np.ndarray] | np.ndarray) -> LongRunMultiplier:
     n = mats[0].shape[0]
     B = np.eye(n) - sum(mats)
     cond = float(np.linalg.cond(B))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalError(
-            f"I - sum(A) is numerically singular (condition number {cond:.3e})"
-        )
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise _singular_error(cond)
     phi1 = np.linalg.inv(B)
     return LongRunMultiplier(phi1=phi1, condition=cond)
+
+
+def _singular_error(cond: float) -> NumericalError:
+    return NumericalError(f"I - sum(A) is numerically singular (condition number {cond:.3e})")
 
 
 def _as_matrix_list(A) -> list[np.ndarray]:
@@ -355,7 +358,16 @@ def _as_matrix_list(A) -> list[np.ndarray]:
 
 
 def efficiency_degree(A: list[np.ndarray] | np.ndarray) -> float:
-    """Spectral norm of ``Phi(1) - I``: zero iff every slope matrix is zero."""
-    phi1 = long_run_multiplier(A).phi1
-    dev = phi1 - np.eye(phi1.shape[0])
-    return float(np.linalg.svd(dev, compute_uv=False)[0])
+    """Spectral norm of ``Phi(1) - I``: zero iff every slope matrix is zero.
+
+    One period of :func:`tveff.tvvar.zeta_from_coefficient_stack`.
+    Raises :class:`NumericalError` carrying the condition number where
+    that routine flags ``I - sum A`` as numerically singular.
+    """
+    stack = np.stack([np.atleast_2d(np.asarray(a, dtype=np.float64))
+                      for a in _as_matrix_list(A)])
+    zeta, flagged = zeta_from_coefficient_stack(stack[None])
+    if flagged[0]:
+        B = np.eye(stack.shape[1]) - stack.sum(axis=0)
+        raise _singular_error(float(np.linalg.cond(B)))
+    return float(zeta[0])

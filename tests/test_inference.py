@@ -9,7 +9,7 @@ from tveff.inference import (
     regime_volatility,
 )
 from tveff.synth import ScenarioSpec, gen_returns
-from tveff.tvvar import EfficiencyPath
+from tveff.tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path
 
 
 def make_path(zeta, flags=None, lower=None, upper=None):
@@ -99,6 +99,18 @@ class TestBootstrapBands:
         ep1b = bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9,
                                                 seed=9, q=1), pretested=True)
         assert np.array_equal(ep1.band_lower, ep1b.band_lower)
+
+    def test_given_path_gets_the_same_bands(self):
+        X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=7))
+        spec = BootstrapSpec(replications=120, coverage=0.9, seed=3, q=2)
+        own = bootstrap_bands(X, spec, pretested=True)
+        path = tv_efficiency_path(solve_tvvar(X, q=2, lam=spec.lam))
+        given = bootstrap_bands(X, spec, pretested=True, path=path)
+        for name in ("zeta", "band_lower", "band_upper", "efficient_flag"):
+            assert np.array_equal(getattr(given, name), getattr(own, name))
+        with pytest.raises(DataError, match="periods"):
+            bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, seed=3, q=1),
+                            pretested=True, path=path)
 
     def test_band_monotonicity_in_coverage(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=150, n=1, sigma_eps=0.01, seed=2))

@@ -1,10 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tveff.errors import DataError, NumericalError
 from tveff.synth import ScenarioSpec, gen_returns
-from tveff.tvvar import build_stacked_system, solve_tvvar, tv_efficiency_path
+from tveff.tvvar import (
+    _FAST_COND_LIMIT,
+    EfficiencyPath,
+    _zeta_closed_form,
+    build_stacked_system,
+    solve_tvvar,
+    tv_efficiency_path,
+    zeta_from_coefficient_stack,
+)
 from tveff.var import efficiency_degree, fit_var
+
+COND_LIMIT = 1e12
+
+
+def svd_zeta(A_stack):
+    """Reference zeta: singular values of I - sum A for the condition,
+    then the largest singular value of inv(I - sum A) - I."""
+    m, _, n, _ = A_stack.shape
+    S = np.eye(n)[None, :, :] - A_stack.sum(axis=1)
+    sv = np.linalg.svd(S, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    flagged = ~np.isfinite(cond) | (cond > COND_LIMIT)
+    zeta = np.full(m, np.nan)
+    ok = ~flagged
+    if ok.any():
+        dev = np.linalg.inv(S[ok]) - np.eye(n)[None, :, :]
+        zeta[ok] = np.linalg.svd(dev, compute_uv=False)[:, 0]
+    return zeta, flagged, cond
 
 
 def dense_stacked_solution(X, q, lam):
@@ -183,6 +213,16 @@ class TestEfficiencyPathOps:
             ref = efficiency_degree(list(fit.A_path[t]))
             assert abs(path.zeta[t] - ref) < 1e-12
 
+    def test_matches_per_period_svd_oracle(self):
+        X, _ = gen_returns(ScenarioSpec(kind="sinusoidal-tv", T=250, n=2, q=1,
+                                        sigma_eps=0.02, seed=8, amplitude=0.3,
+                                        period=100.0, coeff=None))
+        fit = solve_tvvar(X, q=1, lam=5.0)
+        path = tv_efficiency_path(fit)
+        ref, flagged, _ = svd_zeta(fit.A_path)
+        assert not flagged.any()
+        np.testing.assert_allclose(path.zeta, ref, rtol=1e-12, atol=1e-14)
+
     def test_singular_period_flagged_not_fatal(self):
         fit = solve_tvvar(np.zeros((60, 1)), q=1, lam=1.0)
         fit.A_path[10] = 1.0  # I - A singular at one period
@@ -228,3 +268,113 @@ class TestOracleEquivalenceSweep:
             np.testing.assert_allclose(fit.nu, nu_o, atol=1e-8)
             np.testing.assert_allclose(beta_matrix(fit), beta_o, atol=1e-8)
             checked += 1
+
+
+# The closed forms and the SVD invert I - sum A by different arithmetic, so
+# near-singular periods legitimately differ by about cond * eps; the tight
+# comparison is made where that is far below the tolerance.
+WELL_CONDITIONED = 1e3
+
+
+@st.composite
+def coefficient_stacks(draw, n_values=(1, 2, 3, 4)):
+    n = draw(st.sampled_from(n_values))
+    m = draw(st.integers(1, 12))
+    q = draw(st.integers(1, 3))
+    return draw(hnp.arrays(np.float64, (m, q, n, n),
+                           elements=st.floats(-1.0, 1.0, width=64)))
+
+
+class TestZetaProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_stacks())
+    def test_matches_svd_oracle(self, A):
+        zeta, flagged = zeta_from_coefficient_stack(A)
+        ref, ref_flagged, cond = svd_zeta(A)
+        np.testing.assert_array_equal(flagged, ref_flagged)
+        np.testing.assert_array_equal(np.isnan(zeta), np.isnan(ref))
+        good = cond <= WELL_CONDITIONED
+        np.testing.assert_allclose(zeta[good], ref[good], rtol=1e-12, atol=1e-12)
+        rest = ~good & ~ref_flagged
+        np.testing.assert_allclose(zeta[rest], ref[rest], rtol=cond[rest].max(initial=0) * 1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_stacks(), st.randoms(use_true_random=False))
+    def test_invariant_to_relabelling_and_transpose(self, A, rnd):
+        n = A.shape[-1]
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        P = np.eye(n)[perm]
+        zeta, flagged = zeta_from_coefficient_stack(A)
+        _, _, cond = svd_zeta(A)
+        good = cond <= WELL_CONDITIONED
+        for B in (P @ A @ P.T, np.swapaxes(A, -1, -2)):
+            z2, f2 = zeta_from_coefficient_stack(B)
+            np.testing.assert_array_equal(f2[good], flagged[good])
+            np.testing.assert_allclose(z2[good], zeta[good], rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_stacks(), st.integers(1, 30))
+    def test_constant_path_is_time_invariant_degree(self, A, m):
+        A0 = A[0]
+        _, flagged, _ = svd_zeta(A0[None])
+        if flagged[0]:
+            with pytest.raises(NumericalError, match="condition"):
+                efficiency_degree(A0)
+            return
+        zeta, flagged = zeta_from_coefficient_stack(np.broadcast_to(A0, (m,) + A0.shape))
+        assert not flagged.any()
+        np.testing.assert_allclose(zeta, efficiency_degree(A0), rtol=1e-13, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(*[
+        hnp.arrays(np.float64, m, elements=st.floats(-2.0, 2.0) | st.just(np.nan))
+        for _ in range(3)])))
+    def test_efficient_flag_false_where_undefined(self, arrays):
+        zeta, lower, upper = arrays
+        path = EfficiencyPath(dates=np.arange(zeta.size), zeta=zeta,
+                              flagged=np.isnan(zeta)).with_bands(lower, upper)
+        undefined = np.isnan(zeta) | np.isnan(lower) | np.isnan(upper)
+        assert not path.efficient_flag[undefined].any()
+
+
+class TestZetaFlagBoundary:
+    """Near-singular I - sum A on both sides of the closed-form cut-off.
+
+    S = [[1, 1], [1, 1 + eps]] with eps a power of two has det S = eps
+    exactly and condition about 4 / eps; for n = 1, S = eps.  The lag sum
+    is split over two lags, exactly, so every S is represented exactly.
+    """
+
+    EXPONENTS = (21, 28, 35, 41)  # 2x2 condition ~8e6, 1e9, 1.4e11, 9e12
+
+    @staticmethod
+    def stack(S_list):
+        S = np.array(S_list)
+        A_sum = np.eye(S.shape[-1]) - S
+        return np.stack([A_sum / 2, A_sum / 2], axis=1)
+
+    def test_bivariate_matches_oracle(self):
+        S = [[[1.0, 1.0], [1.0, 1.0 + 2.0**-k]] for k in self.EXPONENTS]
+        S += [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]]  # singular
+        A = self.stack(S)
+        ref, ref_flagged, cond = svd_zeta(A)
+        np.testing.assert_allclose(cond[:4], [8.4e6, 1.07e9, 1.37e11, 8.8e12], rtol=0.01)
+        np.testing.assert_array_equal(ref_flagged, [False, False, False, True, True, True])
+        _, estimate = _zeta_closed_form(A.sum(axis=1))
+        fast = estimate < _FAST_COND_LIMIT
+        np.testing.assert_array_equal(fast, [True, False, False, False, False, False])
+
+        zeta, flagged = zeta_from_coefficient_stack(A)
+        np.testing.assert_array_equal(flagged, ref_flagged)
+        np.testing.assert_allclose(zeta, ref, rtol=1e-12)  # NaN where flagged
+
+    def test_univariate_matches_oracle(self):
+        S = [[[2.0**-k]] for k in (23, 30, 37, 43)] + [[[0.0]]]
+        A = self.stack(S)
+        ref, ref_flagged, _ = svd_zeta(A)
+        zeta, flagged = zeta_from_coefficient_stack(A)
+        np.testing.assert_array_equal(flagged, [False, False, False, False, True])
+        np.testing.assert_array_equal(flagged, ref_flagged)
+        np.testing.assert_allclose(zeta, ref, rtol=1e-12)
+        np.testing.assert_array_equal(zeta[:4], [2.0**k - 1 for k in (23, 30, 37, 43)])
