@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages so the chain
+Subcommands are the pipeline stages, so the chain
 
     ingest -> stats -> unitroot -> var -> tvvar -> bootstrap -> segments -> report
 
-writes the same artifacts as a single ``run``.  Stages that need the VAR
-order re-select it by the Schwarz criterion when ``--q`` is omitted,
-which reproduces the single-shot choice exactly.
+writes the same artifacts as a single ``run``: each subcommand reads its
+input artifact and calls the same ``tveff.pipeline`` stage function as
+``run``.  A stage flag left out keeps the ``PipelineConfig`` default;
+``--q`` left out selects the VAR order by the Schwarz criterion, which
+reproduces the single-shot choice exactly.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -23,35 +25,34 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericalError
-from .inference import classify_segments, regime_volatility
 from .pipeline import (
     PipelineConfig,
     StageError,
-    _write_json,
     _write_prices_csv,
-    _write_segments,
-    _write_regimes,
-    _write_table1,
-    _write_table2,
-    _write_zeta_json,
+    bootstrap_stage,
     emit_report,
-    plot_data,
+    ingest_stage,
     read_returns_csv,
     read_zeta_csv,
+    resolve_q,
     run_pipeline,
-    write_returns_csv,
-    write_zeta_csv,
+    segments_stage,
+    stats_stage,
+    tvvar_stage,
+    unitroot_stage,
+    var_stage,
 )
-from .series import CsvSchema, descriptive_stats, interpolate_missing, load_csv, log_returns
+from .series import descriptive_stats
 from .synth import ScenarioSpec, gen_returns
-from .tvvar import solve_tvvar, tv_efficiency_path
-from .unitroot import adf_gls
-from .var import fit_var, hansen_lc, newey_west_cov, select_lag_sbic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# Flags that set a PipelineConfig field store under the field's name and
+# default to None, which keeps the config's value.
+_CONFIG_FIELDS = set(PipelineConfig.__dataclass_fields__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,13 +70,17 @@ def _add_returns_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_order_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, default=None,
-                   help="VAR order; omitted selects by SBIC up to --q-max")
-    p.add_argument("--q-max", type=int, default=8, help="SBIC search bound")
+    p.add_argument("--q", type=int, help="VAR order; omitted selects by SBIC up to --q-max")
+    p.add_argument("--q-max", type=int, help="SBIC search bound")
 
 
-def _resolve_q(args, returns) -> int:
-    return args.q if args.q is not None else select_lag_sbic(returns, args.q_max)
+def _add_bootstrap_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lam", type=float,
+                   help="smoothness ratio (observation / coefficient noise)")
+    p.add_argument("--replications", type=int)
+    p.add_argument("--coverage", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--workers", type=int)
 
 
 def build_parser() -> _Parser:
@@ -85,11 +90,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load a price CSV, repair gaps, write returns")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--date-column", default="date")
-    p.add_argument("--price-columns", nargs="+", default=None)
-    p.add_argument("--date-format", default="%Y-%m-%d")
-    p.add_argument("--no-interpolate", action="store_true")
+    p.add_argument("--input", "-i", dest="input_path", metavar="INPUT", required=True)
+    p.add_argument("--date-column")
+    p.add_argument("--price-columns", nargs="+")
+    p.add_argument("--date-format")
+    p.add_argument("--no-interpolate", dest="interpolate", action="store_false", default=None)
     _add_io_args(p)
 
     p = sub.add_parser("stats", help="descriptive statistics of returns")
@@ -98,8 +103,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("unitroot", help="GLS-detrended ADF tests per column")
     _add_returns_arg(p)
-    p.add_argument("--model", choices=["constant", "trend"], default="trend")
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--model", dest="unitroot_model", choices=["constant", "trend"])
+    p.add_argument("--k-max", dest="unitroot_k_max", metavar="K_MAX", type=int)
     _add_io_args(p)
 
     p = sub.add_parser("var", help="time-invariant VAR with robust errors")
@@ -110,7 +115,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tvvar", help="time-varying VAR efficiency path (no bands)")
     _add_returns_arg(p)
     _add_order_args(p)
-    p.add_argument("--lam", type=float, default=1.0,
+    p.add_argument("--lam", type=float,
                    help="smoothness ratio (observation / coefficient noise)")
     p.add_argument("--coef-out", default=None,
                    help="optional long-format CSV of the coefficient paths")
@@ -119,17 +124,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bootstrap", help="efficiency path with bootstrap bands")
     _add_returns_arg(p)
     _add_order_args(p)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--replications", type=int, default=5000)
-    p.add_argument("--coverage", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_bootstrap_args(p)
     _add_io_args(p)
 
     p = sub.add_parser("segments", help="classify efficient/inefficient periods")
     p.add_argument("--zeta", required=True, help="zeta_path.csv with bands")
-    p.add_argument("--min-run", type=int, default=20)
-    p.add_argument("--breakpoints", nargs="*", default=[],
+    p.add_argument("--min-run", type=int)
+    p.add_argument("--breakpoints", nargs="*",
                    help="ISO dates starting new volatility regimes")
     _add_io_args(p)
 
@@ -157,60 +158,48 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run the whole pipeline from a config file")
     p.add_argument("--config", required=True,
                    help="JSON config (a run manifest is also accepted)")
-    p.add_argument("--input", default=None, help="override input_path")
-    p.add_argument("--output-dir", "-o", default=None, help="override output_dir")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--coverage", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--min-run", type=int, default=None)
+    p.add_argument("--input", dest="input_path", metavar="INPUT", help="override input_path")
+    p.add_argument("--output-dir", "-o", help="override output_dir")
+    p.add_argument("--q", type=int)
+    _add_bootstrap_args(p)
+    p.add_argument("--min-run", type=int)
 
     return parser
 
 
-def _cmd_ingest(args) -> int:
-    out = Path(args.output_dir)
+def _config(args, base: PipelineConfig | None = None) -> PipelineConfig:
+    """``base`` (default: the ``PipelineConfig`` defaults) with the given flags laid over it."""
+    merged = asdict(base) if base is not None else {"input_path": "", "output_dir": ""}
+    merged.update({k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None})
+    return PipelineConfig.from_dict(merged)
+
+
+def _stage_config(args) -> tuple[PipelineConfig, Path]:
+    """Config of a stage subcommand and its (created) output directory."""
+    config = _config(args)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    schema = CsvSchema(
-        date_column=args.date_column,
-        price_columns=None if args.price_columns is None else tuple(args.price_columns),
-        date_format=args.date_format,
-    )
-    prices = load_csv(args.input, schema)
-    if not args.no_interpolate:
-        prices = interpolate_missing(prices)
-    elif prices.missing_mask.any():
-        raise DataError("input has missing prices and interpolation is disabled")
-    returns = log_returns(prices)
-    _write_prices_csv(out / "prices_clean.csv", prices.dates, prices.prices, prices.labels)
-    write_returns_csv(out / "returns.csv", returns)
-    print(f"wrote {out / 'prices_clean.csv'} and {out / 'returns.csv'}")
+    return config, out
+
+
+def _cmd_ingest(args) -> int:
+    config, out = _stage_config(args)
+    _, (p_prices, p_returns) = ingest_stage(config, out)
+    print(f"wrote {p_prices} and {p_returns}")
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    returns = read_returns_csv(args.returns)
-    stats = descriptive_stats(returns)
-    (out / "stats.csv").write_text(stats.to_csv(), encoding="utf-8")
-    (out / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
-    print(f"wrote {out / 'stats.csv'}")
+    _, out = _stage_config(args)
+    _, (p_csv, _) = stats_stage(out, read_returns_csv(args.returns))
+    print(f"wrote {p_csv}")
     return EXIT_OK
 
 
 def _cmd_unitroot(args) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _stage_config(args)
     returns = read_returns_csv(args.returns)
-    stats = descriptive_stats(returns)
-    tests = [
-        adf_gls(returns.values[:, j], model=args.model, k_max=args.k_max)
-        for j in range(returns.n_columns)
-    ]
-    _write_table1(out, stats, tests)
+    tests, _ = unitroot_stage(config, out, returns, descriptive_stats(returns))
     for j, t in enumerate(tests):
         verdict = "rejects unit root at 1%" if t.rejects_at("1%") else "no rejection at 1%"
         print(f"{returns.labels[j]}: stat {t.statistic:.4f}, lags {t.selected_lag}, {verdict}")
@@ -218,79 +207,35 @@ def _cmd_unitroot(args) -> int:
 
 
 def _cmd_var(args) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _stage_config(args)
     returns = read_returns_csv(args.returns)
-    q = _resolve_q(args, returns)
-    fit = fit_var(returns, q)
-    hac = newey_west_cov(fit)
-    lc = hansen_lc(fit)
-    _write_table2(out, fit, hac.se, lc)
-    print(f"VAR({q}): Lc {lc.lc_statistic:.4f} (dof {lc.dof}), wrote {out / 'table2.csv'}")
+    q = resolve_q(config, returns)
+    lc, (p_csv, _) = var_stage(out, returns, q)
+    print(f"VAR({q}): Lc {lc.lc_statistic:.4f} (dof {lc.dof}), wrote {p_csv}")
     return EXIT_OK
 
 
 def _cmd_tvvar(args) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _stage_config(args)
     returns = read_returns_csv(args.returns)
-    q = _resolve_q(args, returns)
-    fit = solve_tvvar(returns, q=q, lam=args.lam)
-    path = tv_efficiency_path(fit)
-    write_zeta_csv(out / "tvvar_zeta.csv", path)
-    if args.coef_out:
-        _write_coef_paths(Path(args.coef_out), fit)
-    print(f"TV-VAR({q}) lam={args.lam}: wrote {out / 'tvvar_zeta.csv'}")
+    q = resolve_q(config, returns)
+    _, (p_tv, *_) = tvvar_stage(config, out, returns, q, coef_out=args.coef_out)
+    print(f"TV-VAR({q}) lam={config.lam}: wrote {p_tv}")
     return EXIT_OK
 
 
-def _write_coef_paths(path: Path, fit) -> None:
-    import csv as _csv
-
-    with path.open("w", encoding="utf-8", newline="") as f:
-        w = _csv.writer(f, lineterminator="\n")
-        w.writerow(["date", "lag", "equation", "regressor", "value"])
-        dates = fit.dates if fit.dates is not None else np.arange(fit.nobs)
-        for t in range(fit.nobs):
-            for l in range(fit.q):
-                for i, eq in enumerate(fit.labels):
-                    for j, reg in enumerate(fit.labels):
-                        w.writerow([str(dates[t]), l + 1, eq, reg,
-                                    repr(float(fit.A_path[t, l, i, j]))])
-
-
 def _cmd_bootstrap(args) -> int:
-    from .inference import BootstrapSpec, bootstrap_bands
-
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _stage_config(args)
     returns = read_returns_csv(args.returns)
-    q = _resolve_q(args, returns)
-    spec = BootstrapSpec(
-        replications=args.replications,
-        coverage=args.coverage,
-        seed=args.seed,
-        lam=args.lam,
-        q=q,
-        workers=args.workers,
-    )
-    ep = bootstrap_bands(returns, spec, pretested=True)
-    write_zeta_csv(out / "zeta_path.csv", ep)
-    _write_zeta_json(out / "zeta_path.json", ep)
-    plot_data(ep, out)
-    print(f"wrote {out / 'zeta_path.csv'} with {args.replications} replications")
+    _, (p_csv, *_) = bootstrap_stage(config, out, returns, resolve_q(config, returns))
+    print(f"wrote {p_csv} with {config.replications} replications")
     return EXIT_OK
 
 
 def _cmd_segments(args) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ep = read_zeta_csv(args.zeta)
-    segments = classify_segments(ep, min_run=args.min_run)
-    _write_segments(out, segments)
-    summary = regime_volatility(ep, args.breakpoints)
-    _write_regimes(out, summary)
-    print(f"wrote {out / 'segments.csv'} ({len(segments)} segments)")
+    config, out = _stage_config(args)
+    segments, (p_seg, _) = segments_stage(config, out, read_zeta_csv(args.zeta))
+    print(f"wrote {p_seg} ({len(segments)} segments)")
     return EXIT_OK
 
 
@@ -348,23 +293,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = PipelineConfig.from_json(args.config)
-    overrides = {
-        "input_path": args.input,
-        "output_dir": args.output_dir,
-        "q": args.q,
-        "lam": args.lam,
-        "replications": args.replications,
-        "coverage": args.coverage,
-        "seed": args.seed,
-        "workers": args.workers,
-        "min_run": args.min_run,
-    }
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    if updates:
-        merged = asdict(config)
-        merged.update(updates)
-        config = PipelineConfig.from_dict(merged)
+    config = _config(args, PipelineConfig.from_json(args.config))
     result = run_pipeline(config)
     print(f"pipeline complete: VAR({result.q}), {len(result.segments)} segments, "
           f"{len(result.artifacts)} artifacts in {config.output_dir}")

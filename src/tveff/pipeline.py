@@ -1,10 +1,15 @@
-"""End-to-end orchestration: config, artifacts, reports, plot data.
+"""End-to-end orchestration: config, stages, artifacts, reports, plot data.
 
 The pipeline runs ingest -> interpolate -> returns -> stats -> unit-root
 tests -> lag selection -> VAR with robust errors and the constancy test
 -> time-varying VAR -> efficiency path -> bootstrap bands -> segments ->
 regime summaries, writing each product as CSV/JSON into one output
 directory plus a manifest that reproduces the run bit-for-bit.
+
+Each stage is one ``*_stage`` function from the config, the output
+directory and its upstream values to ``(value, written paths)``.
+:func:`run_pipeline` chains them; each ``tveff`` stage subcommand calls
+the same function on artifacts read back from disk.
 
 Floats are serialized with ``repr`` (shortest round-trip form) so that
 artifacts read back exactly and re-runs compare byte-identically; JSON
@@ -25,16 +30,19 @@ import scipy
 
 from . import __version__
 from .errors import DataError, NumericalError
-from .inference import BootstrapSpec, RegimeSummary, Segment, bootstrap_bands, classify_segments, regime_volatility
+from .inference import BootstrapSpec, Segment, bootstrap_bands, classify_segments, regime_volatility
 from .series import CsvSchema, ReturnMatrix, StatsSummary, descriptive_stats, interpolate_missing, load_csv, log_returns
 from .tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path
 from .unitroot import AdfGlsResult, adf_gls
-from .var import VarFit, fit_var, hansen_lc, newey_west_cov, select_lag_sbic
+from .var import ConstancyTest, fit_var, hansen_lc, newey_west_cov, select_lag_sbic
 
 __all__ = [
     "PipelineConfig",
     "StageError",
     "run_pipeline",
+    "resolve_q",
+    "ingest_stage", "stats_stage", "unitroot_stage", "var_stage",
+    "tvvar_stage", "bootstrap_stage", "segments_stage",
     "emit_report",
     "plot_data",
     "write_returns_csv",
@@ -42,9 +50,6 @@ __all__ = [
     "write_zeta_csv",
     "read_zeta_csv",
 ]
-
-STAGES = ("ingest", "stats", "unitroot", "var", "tvvar", "bootstrap", "segments", "report")
-
 
 class StageError(RuntimeError):
     """Failure inside a named pipeline stage."""
@@ -61,7 +66,8 @@ class PipelineConfig:
 
     ``q=None`` selects the VAR order by the Schwarz criterion up to
     ``q_max``.  Breakpoints are ISO dates defining regime boundaries for
-    the volatility summary.
+    the volatility summary.  The bootstrap settings are checked here, so
+    a bad combination fails before any stage runs.
     """
 
     input_path: str
@@ -89,10 +95,9 @@ class PipelineConfig:
             raise DataError("q must be >= 1")
         if self.q_max < 1:
             raise DataError("q_max must be >= 1")
-        if self.lam <= 0:
-            raise DataError("lam must be positive")
         if self.min_run < 1:
             raise DataError("min_run must be >= 1")
+        self.bootstrap_spec(1).band_order_statistics()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -256,22 +261,8 @@ def read_zeta_csv(path: str | Path) -> EfficiencyPath:
         zeta=zeta_arr,
         flagged=~np.isfinite(zeta_arr),
     )
-    lower_arr, upper_arr = np.asarray(lower), np.asarray(upper)
-    if any_flag and np.isfinite(lower_arr).all() and np.isfinite(upper_arr).all():
-        return ep.with_bands(lower_arr, upper_arr)
-    return ep
-
-
-def _write_zeta_json(path: Path, ep: EfficiencyPath) -> None:
-    payload = {
-        "dates": [str(d) for d in ep.dates],
-        "zeta": ep.zeta,
-        "lower": ep.band_lower,
-        "upper": ep.band_upper,
-        "efficient": ep.efficient_flag,
-        "flagged": ep.flagged,
-    }
-    _write_json(path, payload)
+    # a banded path has every flag cell filled; empty band cells stay NaN
+    return ep.with_bands(np.asarray(lower), np.asarray(upper)) if any_flag else ep
 
 
 def _table1_rows(stats: StatsSummary, tests: list[AdfGlsResult]) -> list[dict]:
@@ -292,7 +283,58 @@ def _table1_rows(stats: StatsSummary, tests: list[AdfGlsResult]) -> list[dict]:
     return rows
 
 
-def _write_table1(out: Path, stats: StatsSummary, tests: list[AdfGlsResult]) -> list[Path]:
+def _term_names(labels: tuple[str, ...], q: int) -> list[str]:
+    names = ["const"]
+    for l in range(1, q + 1):
+        names.extend(f"{lab}_lag{l}" for lab in labels)
+    return names
+
+
+# ---------------------------------------------------------------------------
+# stages: each computes before it writes, so a data or numerical failure
+# leaves none of that stage's artifacts behind
+
+
+def resolve_q(config: PipelineConfig, returns: ReturnMatrix) -> int:
+    """The configured VAR order, or the SBIC choice up to ``config.q_max``."""
+    return config.q if config.q is not None else select_lag_sbic(returns, config.q_max)
+
+
+def ingest_stage(config: PipelineConfig, out: Path) -> tuple[ReturnMatrix, list[Path]]:
+    """Load ``config.input_path``, repair gaps, write clean prices and returns."""
+    schema = CsvSchema(
+        date_column=config.date_column,
+        price_columns=None if config.price_columns is None else tuple(config.price_columns),
+        date_format=config.date_format,
+    )
+    prices = load_csv(config.input_path, schema)
+    if config.interpolate:
+        prices = interpolate_missing(prices)
+    elif prices.missing_mask.any():
+        raise DataError("input has missing prices and interpolation is disabled")
+    returns = log_returns(prices)
+    p_prices, p_returns = out / "prices_clean.csv", out / "returns.csv"
+    _write_prices_csv(p_prices, prices.dates, prices.prices, prices.labels)
+    write_returns_csv(p_returns, returns)
+    return returns, [p_prices, p_returns]
+
+
+def stats_stage(out: Path, returns: ReturnMatrix) -> tuple[StatsSummary, list[Path]]:
+    """Descriptive statistics of the returns."""
+    stats = descriptive_stats(returns)
+    p_csv, p_json = out / "stats.csv", out / "stats.json"
+    p_csv.write_text(stats.to_csv(), encoding="utf-8")
+    p_json.write_text(stats.to_json() + "\n", encoding="utf-8")
+    return stats, [p_csv, p_json]
+
+
+def unitroot_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix,
+                   stats: StatsSummary) -> tuple[list[AdfGlsResult], list[Path]]:
+    """ADF-GLS test per column; writes Table 1 with the statistics."""
+    tests = [
+        adf_gls(returns.values[:, j], model=config.unitroot_model, k_max=config.unitroot_k_max)
+        for j in range(returns.n_columns)
+    ]
     rows = _table1_rows(stats, tests)
     csv_rows = [["series", "mean", "sd", "max", "min", "adf_gls", "lags", "phi_hat", "n"]]
     for r in rows:
@@ -307,17 +349,14 @@ def _write_table1(out: Path, stats: StatsSummary, tests: list[AdfGlsResult]) -> 
         "model": tests[0].model,
         "critical_values": tests[0].critical_values,
     })
-    return [p_csv, p_json]
+    return tests, [p_csv, p_json]
 
 
-def _term_names(labels: tuple[str, ...], q: int) -> list[str]:
-    names = ["const"]
-    for l in range(1, q + 1):
-        names.extend(f"{lab}_lag{l}" for lab in labels)
-    return names
-
-
-def _write_table2(out: Path, fit: VarFit, se: np.ndarray, lc) -> list[Path]:
+def var_stage(out: Path, returns: ReturnMatrix, q: int) -> tuple[ConstancyTest, list[Path]]:
+    """VAR(q) with HAC errors and the Lc constancy test; writes Table 2."""
+    fit = fit_var(returns, q)
+    se = newey_west_cov(fit).se
+    lc = hansen_lc(fit)
     terms = _term_names(fit.labels, fit.q)
     # coefficient matrix in regressor order: (p, n)
     stacked = np.vstack([fit.nu[None, :]] + [A.T for A in fit.A])
@@ -342,28 +381,67 @@ def _write_table2(out: Path, fit: VarFit, se: np.ndarray, lc) -> list[Path]:
         "lc_reject": lc.reject,
         "lc_level": lc.level,
     })
-    return [p_csv, p_json]
+    return lc, [p_csv, p_json]
 
 
-def _write_segments(out: Path, segments: list[Segment]) -> Path:
-    rows = [["start", "end", "label", "mean_zeta"]]
+def tvvar_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int,
+                coef_out: str | Path | None = None) -> tuple[EfficiencyPath, list[Path]]:
+    """Unbanded TV-VAR(q) efficiency path; ``coef_out`` adds a long CSV of coefficients."""
+    fit = solve_tvvar(returns, q=q, lam=config.lam)
+    path = tv_efficiency_path(fit)
+    p_tv = out / "tvvar_zeta.csv"
+    write_zeta_csv(p_tv, path)
+    if coef_out is None:
+        return path, [p_tv]
+    rows = [["date", "lag", "equation", "regressor", "value"]]
+    dates = fit.dates if fit.dates is not None else np.arange(fit.nobs)
+    for t in range(fit.nobs):
+        for l in range(fit.q):
+            for i, eq in enumerate(fit.labels):
+                for j, reg in enumerate(fit.labels):
+                    rows.append([str(dates[t]), l + 1, eq, reg,
+                                 repr(float(fit.A_path[t, l, i, j]))])
+    p_coef = Path(coef_out)
+    p_coef.write_text(_csv_text(rows), encoding="utf-8")
+    return path, [p_tv, p_coef]
+
+
+def bootstrap_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int,
+                    path: EfficiencyPath | None = None) -> tuple[EfficiencyPath, list[Path]]:
+    """Banded efficiency path and its plot data; ``path`` is the solved original sample."""
+    ep = bootstrap_bands(returns, config.bootstrap_spec(q), pretested=True, path=path)
+    plots = plot_data(ep, out)
+    p_csv, p_json = out / "zeta_path.csv", out / "zeta_path.json"
+    write_zeta_csv(p_csv, ep)
+    _write_json(p_json, {
+        "dates": [str(d) for d in ep.dates],
+        "zeta": ep.zeta,
+        "lower": ep.band_lower,
+        "upper": ep.band_upper,
+        "efficient": ep.efficient_flag,
+        "flagged": ep.flagged,
+    })
+    return ep, [p_csv, p_json, *plots]
+
+
+def segments_stage(config: PipelineConfig, out: Path,
+                   ep: EfficiencyPath) -> tuple[list[Segment], list[Path]]:
+    """Efficient/inefficient segments and the per-regime volatility of ζ."""
+    segments = classify_segments(ep, min_run=config.min_run)
+    summary = regime_volatility(ep, config.breakpoints)
+    seg_rows = [["start", "end", "label", "mean_zeta"]]
     for s in segments:
-        rows.append([str(s.start), str(s.end), s.label, _fmt(s.mean_zeta)])
-    p = out / "segments.csv"
-    p.write_text(_csv_text(rows), encoding="utf-8")
-    return p
-
-
-def _write_regimes(out: Path, summary: RegimeSummary) -> Path:
-    rows = [["regime", "start", "end", "sd_zeta", "efficient_share", "count"]]
+        seg_rows.append([str(s.start), str(s.end), s.label, _fmt(s.mean_zeta)])
+    reg_rows = [["regime", "start", "end", "sd_zeta", "efficient_share", "count"]]
     for r in range(summary.sd.shape[0]):
-        rows.append([
+        reg_rows.append([
             str(r + 1), str(summary.starts[r]), str(summary.ends[r]),
             _fmt(summary.sd[r]), _fmt(summary.efficient_share[r]), str(summary.counts[r]),
         ])
-    p = out / "regimes.csv"
-    p.write_text(_csv_text(rows), encoding="utf-8")
-    return p
+    p_seg, p_reg = out / "segments.csv", out / "regimes.csv"
+    p_seg.write_text(_csv_text(seg_rows), encoding="utf-8")
+    p_reg.write_text(_csv_text(reg_rows), encoding="utf-8")
+    return segments, [p_seg, p_reg]
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +458,7 @@ def plot_data(ep: EfficiencyPath, out_dir: str | Path, stem: str = "zeta_plot") 
     if not ep.has_bands:
         raise DataError("path has no bands; nothing to plot")
     out_dir = Path(out_dir)
+    svg = _svg_chart(ep)  # raises before anything is written
     rows = [["date", "series", "value"]]
     for name, arr in (("zeta", ep.zeta), ("lower", ep.band_lower), ("upper", ep.band_upper)):
         for i in range(len(ep)):
@@ -387,7 +466,7 @@ def plot_data(ep: EfficiencyPath, out_dir: str | Path, stem: str = "zeta_plot") 
     p_csv = out_dir / f"{stem}.csv"
     p_csv.write_text(_csv_text(rows), encoding="utf-8")
     p_svg = out_dir / f"{stem}.svg"
-    p_svg.write_text(_svg_chart(ep), encoding="utf-8")
+    p_svg.write_text(svg, encoding="utf-8")
     return p_csv, p_svg
 
 
@@ -561,80 +640,35 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def track(*paths: Path) -> None:
+    def track(result):
+        value, paths = result
         written.extend(paths)
+        return value
 
     stage = "ingest"
     try:
-        schema = CsvSchema(
-            date_column=config.date_column,
-            price_columns=None if config.price_columns is None else tuple(config.price_columns),
-            date_format=config.date_format,
-        )
-        prices = load_csv(config.input_path, schema)
-        if config.interpolate:
-            prices = interpolate_missing(prices)
-        elif prices.missing_mask.any():
-            raise DataError("input has missing prices and interpolation is disabled")
-        returns = log_returns(prices)
-        p1 = out / "prices_clean.csv"
-        _write_prices_csv(p1, prices.dates, prices.prices, prices.labels)
-        p2 = out / "returns.csv"
-        write_returns_csv(p2, returns)
-        track(p1, p2)
-
+        returns = track(ingest_stage(config, out))
         stage = "stats"
-        stats = descriptive_stats(returns)
-        p_scsv, p_sjson = out / "stats.csv", out / "stats.json"
-        p_scsv.write_text(stats.to_csv(), encoding="utf-8")
-        p_sjson.write_text(stats.to_json() + "\n", encoding="utf-8")
-        track(p_scsv, p_sjson)
-
+        stats = track(stats_stage(out, returns))
         stage = "unitroot"
-        tests = [
-            adf_gls(returns.values[:, j], model=config.unitroot_model,
-                    k_max=config.unitroot_k_max)
-            for j in range(returns.n_columns)
-        ]
-        track(*_write_table1(out, stats, tests))
-
+        track(unitroot_stage(config, out, returns, stats))
         stage = "var"
-        q = config.q if config.q is not None else select_lag_sbic(returns, config.q_max)
-        fit = fit_var(returns, q)
-        hac = newey_west_cov(fit)
-        lc = hansen_lc(fit)
-        track(*_write_table2(out, fit, hac.se, lc))
-
+        q = resolve_q(config, returns)
+        track(var_stage(out, returns, q))
         stage = "tvvar"
-        tv_fit = solve_tvvar(returns, q=q, lam=config.lam)
-        raw_path = tv_efficiency_path(tv_fit)
-        p_tv = out / "tvvar_zeta.csv"
-        write_zeta_csv(p_tv, raw_path)
-        track(p_tv)
-
+        raw_path = track(tvvar_stage(config, out, returns, q))
         stage = "bootstrap"
-        ep = bootstrap_bands(returns, config.bootstrap_spec(q), pretested=True, path=raw_path)
-        p_z = out / "zeta_path.csv"
-        write_zeta_csv(p_z, ep)
-        p_zj = out / "zeta_path.json"
-        _write_zeta_json(p_zj, ep)
-        track(p_z, p_zj)
-        track(*plot_data(ep, out))
-
+        ep = track(bootstrap_stage(config, out, returns, q, path=raw_path))
         stage = "segments"
-        segments = classify_segments(ep, min_run=config.min_run)
-        track(_write_segments(out, segments))
-        summary = regime_volatility(ep, config.breakpoints)
-        track(_write_regimes(out, summary))
+        segments = track(segments_stage(config, out, ep))
 
         stage = "report"
         p_rep = out / "report.txt"
         p_rep.write_text(emit_report(out), encoding="utf-8")
-        track(p_rep)
-
+        written.append(p_rep)
         p_man = out / "run_manifest.json"
         _write_json(p_man, {"config": asdict(config), "versions": _versions()})
-        track(p_man)
+        written.append(p_man)
     except (DataError, NumericalError, OSError) as exc:
         for p in written:
             try:

@@ -11,6 +11,7 @@ import pytest
 
 from tveff.cli import main
 from tveff.errors import DataError
+from tveff.inference import classify_segments
 from tveff.pipeline import (
     PipelineConfig,
     StageError,
@@ -73,17 +74,23 @@ class TestRoundTrips:
         m = 20
         zeta = np.linspace(0, 1, m)
         zeta[3] = np.nan
-        ep = EfficiencyPath(
-            dates=np.datetime64("2020-01-01") + np.arange(m),
-            zeta=zeta, flagged=~np.isfinite(zeta),
-        ).with_bands(np.zeros(m), np.ones(m))
-        p = tmp_path / "z.csv"
-        write_zeta_csv(p, ep)
-        back = read_zeta_csv(p)
-        np.testing.assert_array_equal(np.isnan(back.zeta), np.isnan(ep.zeta))
-        ok = np.isfinite(ep.zeta)
-        assert np.array_equal(back.zeta[ok], ep.zeta[ok])
-        assert np.array_equal(back.efficient_flag, ep.efficient_flag)
+        nan_band = np.ones(m)
+        nan_band[4] = np.nan  # one empty band cell keeps the other bands
+        for upper in (np.ones(m), nan_band):
+            ep = EfficiencyPath(
+                dates=np.datetime64("2020-01-01") + np.arange(m),
+                zeta=zeta, flagged=~np.isfinite(zeta),
+            ).with_bands(np.zeros(m), upper)
+            p = tmp_path / "z.csv"
+            write_zeta_csv(p, ep)
+            back = read_zeta_csv(p)
+            np.testing.assert_array_equal(np.isnan(back.zeta), np.isnan(ep.zeta))
+            ok = np.isfinite(ep.zeta)
+            assert np.array_equal(back.zeta[ok], ep.zeta[ok])
+            np.testing.assert_array_equal(back.band_upper, ep.band_upper)
+            assert np.array_equal(back.efficient_flag, ep.efficient_flag)
+            assert [(s.start_index, s.end_index, s.label) for s in classify_segments(back, 1)] \
+                == [(s.start_index, s.end_index, s.label) for s in classify_segments(ep, 1)]
 
 
 class TestPipeline:
@@ -247,33 +254,44 @@ class TestCli:
 
     def test_chained_equals_single_shot(self, tmp_path):
         prices, _ = synth_prices(tmp_path, T=200, period=100.0)
-        single = tmp_path / "single"
-        cfg = {"input_path": str(prices), "output_dir": str(single), "q": 1,
-               "lam": 1.0, "replications": 120, "coverage": 0.9, "seed": 7,
-               "min_run": 5}
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(cfg))
-        assert run_cli("run", "--config", str(cfg_file)) == 0
+        # explicit order and settings, then q by SBIC with lam/min_run at their defaults
+        for case, explicit in (("q1", {"q": 1, "lam": 1.0, "min_run": 5}), ("defaults", {})):
+            single, chain = tmp_path / f"single_{case}", tmp_path / f"chain_{case}"
+            cfg = {"input_path": str(prices), "output_dir": str(single),
+                   "replications": 120, "coverage": 0.9, "seed": 7, **explicit}
+            cfg_file = tmp_path / f"cfg_{case}.json"
+            cfg_file.write_text(json.dumps(cfg))
+            assert run_cli("run", "--config", str(cfg_file)) == 0
 
-        chain = tmp_path / "chain"
-        assert run_cli("ingest", "-i", str(prices), "-o", str(chain)) == 0
-        assert run_cli("stats", "--returns", str(chain / "returns.csv"), "-o", str(chain)) == 0
-        assert run_cli("unitroot", "--returns", str(chain / "returns.csv"), "-o", str(chain)) == 0
-        assert run_cli("var", "--returns", str(chain / "returns.csv"), "--q", "1",
-                       "-o", str(chain)) == 0
-        assert run_cli("tvvar", "--returns", str(chain / "returns.csv"), "--q", "1",
-                       "--lam", "1.0", "-o", str(chain)) == 0
-        assert run_cli("bootstrap", "--returns", str(chain / "returns.csv"), "--q", "1",
-                       "--lam", "1.0", "--replications", "120", "--coverage", "0.9",
-                       "--seed", "7", "-o", str(chain)) == 0
-        assert run_cli("segments", "--zeta", str(chain / "zeta_path.csv"),
-                       "--min-run", "5", "-o", str(chain)) == 0
-        assert run_cli("report", "--artifacts", str(chain),
-                       "--out", str(chain / "report.txt")) == 0
-        for p in single.iterdir():
-            if p.name == "run_manifest.json":
-                continue
-            assert p.read_bytes() == (chain / p.name).read_bytes(), p.name
+            flags = {k: ["--" + k.replace("_", "-"), str(v)] for k, v in explicit.items()}
+            order, lam = flags.get("q", []), flags.get("lam", [])
+            returns = ["--returns", str(chain / "returns.csv"), "-o", str(chain)]
+            assert run_cli("ingest", "-i", str(prices), "-o", str(chain)) == 0
+            assert run_cli("stats", *returns) == 0
+            assert run_cli("unitroot", *returns) == 0
+            assert run_cli("var", *returns, *order) == 0
+            assert run_cli("tvvar", *returns, *order, *lam) == 0
+            assert run_cli("bootstrap", *returns, *order, *lam, "--replications", "120",
+                           "--coverage", "0.9", "--seed", "7") == 0
+            assert run_cli("segments", "--zeta", str(chain / "zeta_path.csv"),
+                           *flags.get("min_run", []), "-o", str(chain)) == 0
+            assert run_cli("report", "--artifacts", str(chain),
+                           "--out", str(chain / "report.txt")) == 0
+            for p in single.iterdir():
+                if p.name == "run_manifest.json":
+                    continue
+                assert p.read_bytes() == (chain / p.name).read_bytes(), (case, p.name)
+
+    def test_bootstrap_settings_fail_before_any_stage(self, tmp_path, capsys):
+        cfg = {"input_path": str(tmp_path / "prices.csv"),
+               "output_dir": str(tmp_path / "out"), "replications": 100, "coverage": 0.95}
+        with pytest.raises(DataError, match="too few replications"):
+            PipelineConfig.from_dict(cfg)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(p)) == 2
+        assert "too few replications" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_flag_overrides_beat_config(self, tmp_path):
         prices, _ = synth_prices(tmp_path, T=200, period=100.0)
