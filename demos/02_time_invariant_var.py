@@ -53,7 +53,7 @@ print(f"{'adj R2':<14s}" + "".join(f"{v:>12.4f}" for v in fit.adj_r2))
 
 lc = hansen_lc(fit)
 print(f"\nconstancy statistic {lc.lc_statistic:.4f} with {lc.dof} moment conditions")
-print(f"5% critical value ~ {lc.critical_values['5%']:.3f} -> reject constancy: {lc.reject}")
+print(f"5% critical value {lc.critical_values['5%']:.3f} -> reject constancy: {lc.reject}")
 
 ###############################################################################
 # The whole-sample efficiency degree hides the drift; the time-varying

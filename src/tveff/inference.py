@@ -66,9 +66,10 @@ class BootstrapSpec:
 
         With B replications and tail mass a = (1-coverage)/2 these are
         floor(B*a) and B - floor(B*a); B*a must be at least 5 so the
-        requested tails are resolvable.
+        requested tails are resolvable.  B*a is rounded to 9 decimals
+        first, so round-off in 1-coverage cannot move it below an integer.
         """
-        tail = self.replications * (1.0 - self.coverage) / 2.0
+        tail = round(self.replications * (1.0 - self.coverage) / 2.0, 9)
         if tail < 5.0:
             raise DataError(
                 "too few replications for the requested coverage: "

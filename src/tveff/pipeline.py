@@ -184,29 +184,50 @@ def write_returns_csv(path: Path, returns: ReturnMatrix) -> None:
     path.write_text(_csv_text(rows), encoding="utf-8")
 
 
-def read_returns_csv(path: str | Path) -> ReturnMatrix:
-    path = Path(path)
+def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """Header and the non-blank rows, with their line numbers, of an artifact CSV."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
+    return header, [(reader.line_num, rec) for rec in reader if rec]
+
+
+def _parse_rows(path: Path, header: list[str], rows: list[tuple[int, list[str]]], parse) -> list:
+    """``parse`` of each row; a ragged or unparsable row is a DataError naming its line."""
+    out = []
+    for line, rec in rows:
+        if len(rec) != len(header):
+            raise DataError(f"{path}: line {line}: {len(rec)} cells, header has {len(header)}")
+        try:
+            out.append(parse(rec))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line}: {exc}") from exc
+    if not out:
+        raise DataError(f"{path}: no data rows")
+    return out
+
+
+def _day(cell: str) -> np.datetime64:
+    day = np.datetime64(cell, "D")
+    if np.isnat(day):
+        raise ValueError(f"invalid date {cell!r}")
+    return day
+
+
+def read_returns_csv(path: str | Path) -> ReturnMatrix:
+    path = Path(path)
+    header, rows = _read_csv(path)
     if not header or header[0] != "date":
         raise DataError(f"{path}: expected a returns CSV with a 'date' first column")
-    labels = tuple(header[1:])
-    dates, rows = [], []
-    for rec in reader:
-        if not rec:
-            continue
-        dates.append(np.datetime64(rec[0], "D"))
-        rows.append([float(v) for v in rec[1:]])
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    dates, values = zip(*_parse_rows(path, header, rows,
+                                     lambda rec: (_day(rec[0]), [float(v) for v in rec[1:]])))
     return ReturnMatrix(
         dates=np.array(dates, dtype="datetime64[D]"),
-        values=np.asarray(rows, dtype=np.float64),
-        labels=labels,
+        values=np.asarray(values, dtype=np.float64),
+        labels=tuple(header[1:]),
     )
 
 
@@ -236,25 +257,14 @@ def write_zeta_csv(path: Path, ep: EfficiencyPath) -> None:
 
 def read_zeta_csv(path: str | Path) -> EfficiencyPath:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    header, rows = _read_csv(path)
     if header != ["date", "zeta", "lower", "upper", "efficient_flag"]:
         raise DataError(f"{path}: not an efficiency-path CSV")
-    dates, zeta, lower, upper, flags = [], [], [], [], []
-    any_flag = False
-    for rec in reader:
-        if not rec:
-            continue
-        dates.append(np.datetime64(rec[0], "D"))
-        zeta.append(float(rec[1]) if rec[1] else np.nan)
-        lower.append(float(rec[2]) if rec[2] else np.nan)
-        upper.append(float(rec[3]) if rec[3] else np.nan)
-        flags.append(rec[4] == "true")
-        any_flag = any_flag or rec[4] != ""
+
+    def parse(rec: list[str]) -> tuple:
+        return (_day(rec[0]), *[float(v) if v else np.nan for v in rec[1:4]], rec[4])
+
+    dates, zeta, lower, upper, flags = zip(*_parse_rows(path, header, rows, parse))
     zeta_arr = np.asarray(zeta)
     ep = EfficiencyPath(
         dates=np.array(dates, dtype="datetime64[D]"),
@@ -262,7 +272,7 @@ def read_zeta_csv(path: str | Path) -> EfficiencyPath:
         flagged=~np.isfinite(zeta_arr),
     )
     # a banded path has every flag cell filled; empty band cells stay NaN
-    return ep.with_bands(np.asarray(lower), np.asarray(upper)) if any_flag else ep
+    return ep.with_bands(np.asarray(lower), np.asarray(upper)) if any(flags) else ep
 
 
 def _table1_rows(stats: StatsSummary, tests: list[AdfGlsResult]) -> list[dict]:

@@ -7,14 +7,18 @@ i.e. when returns are unpredictable from their own past.
 
 Also provides Schwarz-criterion lag selection over a common sample,
 Bartlett-kernel HAC standard errors, and a cumulative-score test of
-parameter constancy against random-walk drift.
+parameter constancy against random-walk drift, whose critical values are
+exact quantiles of its limiting law (Hansen 1992), found by inverting the
+law's characteristic function (Imhof 1961).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
+from scipy import optimize
 
 from .errors import DataError, NumericalError
 from .series import ReturnMatrix
@@ -33,36 +37,6 @@ __all__ = [
     "efficiency_degree",
     "constancy_critical_values",
 ]
-
-# Asymptotic upper quantiles of the cumulative-score constancy statistic
-# for joint moment counts 1..20: dof -> (10%, 5%, 1%).  Values simulated
-# from the limiting law (sum of dof independent integrated squared
-# Brownian bridges; 100k paths, 1000-point grid, seed 20240901); the
-# dof=1 entries agree with printed Cramer-von Mises points to 3 decimals.
-_LC_CRITICAL_TABLE: dict[int, tuple[float, float, float]] = {
-    1: (0.346, 0.460, 0.742),
-    2: (0.606, 0.746, 1.074),
-    3: (0.846, 1.005, 1.366),
-    4: (1.068, 1.242, 1.626),
-    5: (1.282, 1.467, 1.876),
-    6: (1.489, 1.688, 2.139),
-    7: (1.693, 1.904, 2.359),
-    8: (1.898, 2.118, 2.581),
-    9: (2.100, 2.332, 2.804),
-    10: (2.298, 2.535, 3.040),
-    11: (2.495, 2.744, 3.261),
-    12: (2.691, 2.948, 3.484),
-    13: (2.883, 3.150, 3.691),
-    14: (3.074, 3.350, 3.901),
-    15: (3.270, 3.550, 4.129),
-    16: (3.462, 3.746, 4.341),
-    17: (3.651, 3.942, 4.539),
-    18: (3.838, 4.141, 4.753),
-    19: (4.028, 4.332, 4.968),
-    20: (4.219, 4.529, 5.167),
-}
-
-_LC_SIM_CACHE: dict[int, tuple[float, float, float]] = {}
 
 
 @dataclass
@@ -254,39 +228,43 @@ def newey_west_cov(fit: VarFit, bandwidth: int | str = "auto") -> HacCovariance:
     return HacCovariance(se=se, cov=cov, bandwidth=L)
 
 
-def _simulate_lc_quantiles(dof: int, n_paths: int = 50_000, grid: int = 1000,
-                           seed: int = 20240901) -> tuple[float, float, float]:
-    """Monte Carlo 10%/5%/1% points of the dof-dimensional limiting law."""
-    rng = np.random.default_rng(seed + dof)
-    out = np.zeros(n_paths)
-    r = np.arange(1, grid + 1) / grid
-    chunk = max(1, 10_000_000 // (grid * dof))
-    done = 0
-    while done < n_paths:
-        b = min(chunk, n_paths - done)
-        e = rng.standard_normal((b, dof, grid)) / np.sqrt(grid)
-        w = np.cumsum(e, axis=2)
-        bridge = w - r[None, None, :] * w[:, :, -1][:, :, None]
-        out[done:done + b] = np.sum(np.mean(bridge**2, axis=2), axis=1)
-        done += b
-    q10, q5, q1 = np.quantile(out, [0.90, 0.95, 0.99])
-    return float(q10), float(q5), float(q1)
+@cache
+def _lc_quantiles(dof: int) -> tuple[float, float, float]:
+    """Exact 10%/5%/1% upper points of the dof-dimensional limiting law.
+
+    Q = sum_j chi2_dof,j / (j pi)^2 has characteristic function
+    E e^{itQ} = (sinh w / w)^(-dof/2), w = sqrt(-2it).  Its CDF is the
+    Gil-Pelaez inversion over t = u^2, where the integrand decays like
+    e^(-dof u / 2), on 400 fixed 16-node Gauss-Legendre panels: at the
+    returned points it is within 1e-12 of adaptive quadrature for every
+    dof 1..600 and 4e-13 at dof 3000.  The characteristic function is
+    evaluated once per dof.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 80.0 / dof + 10.0, 401)
+    half = np.diff(edges)[:, None] / 2.0
+    u = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+    weight = (half * weights).ravel() * 2.0 / (np.pi * u)
+    w = u * (1.0 - 1.0j)
+    # log(sinh w / w), continuous along the path since Re w > 0
+    cf = np.exp(-0.5 * dof * (w - np.log(2.0 * w) + np.log(-np.expm1(-2.0 * w))))
+
+    def cdf_excess(x: float, p: float) -> float:
+        return 0.5 - float(weight @ np.imag(np.exp(-1j * u * u * x) * cf)) - p
+
+    hi = dof / 6.0 + 12.0 * np.sqrt(dof / 45.0) + 1.0  # Q: mean dof/6, variance dof/45
+    return tuple(optimize.brentq(cdf_excess, 0.0, hi, args=(p,), xtol=1e-14)
+                 for p in (0.90, 0.95, 0.99))
 
 
 def constancy_critical_values(dof: int) -> dict[str, float]:
     """10%/5%/1% critical values for the constancy statistic at ``dof``.
 
-    Tabulated through dof=20; larger dimensions are simulated once per
-    process with a fixed seed and cached.
+    Exact quantiles of the limiting law, computed once per dof and process.
     """
     if dof < 1:
         raise DataError("dof must be >= 1")
-    if dof in _LC_CRITICAL_TABLE:
-        q10, q5, q1 = _LC_CRITICAL_TABLE[dof]
-    else:
-        if dof not in _LC_SIM_CACHE:
-            _LC_SIM_CACHE[dof] = _simulate_lc_quantiles(dof)
-        q10, q5, q1 = _LC_SIM_CACHE[dof]
+    q10, q5, q1 = _lc_quantiles(dof)
     return {"10%": q10, "5%": q5, "1%": q1}
 
 

@@ -73,6 +73,14 @@ class TestBootstrapSpec:
         k_lo, k_hi = spec.band_order_statistics()
         assert (k_lo, k_hi) == (7, 292)
 
+    @pytest.mark.parametrize("replications, expected", [
+        (1000, (50, 950)), (300, (15, 285)), (100, (5, 95)),
+    ])
+    def test_band_order_statistics_exact_tail(self, replications, expected):
+        # B*(1-0.9)/2 is an integer that floating point puts just below it
+        spec = BootstrapSpec(replications=replications, coverage=0.9, seed=0)
+        assert spec.band_order_statistics() == expected
+
     def test_too_few_replications_for_coverage(self):
         spec = BootstrapSpec(replications=150, coverage=0.95, seed=0)
         with pytest.raises(DataError, match="too few replications"):

@@ -242,6 +242,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ingest" in err
 
+    @pytest.mark.parametrize("body", [
+        "2000-01-03,0.1,\n", "2000-01-03,0.1\n", "2000-13-03,0.1,0.2\n", ",0.1,0.2\n",
+    ], ids=["empty-cell", "ragged-row", "bad-date", "empty-date"])
+    def test_malformed_returns_csv_exit_code_2(self, tmp_path, capsys, body):
+        p = tmp_path / "returns.csv"
+        p.write_text("date,a,b\n2000-01-02,0.3,0.4\n" + body, encoding="utf-8")
+        assert run_cli("var", "--returns", str(p), "-o", str(tmp_path / "out")) == 2
+        assert f"{p}: line 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        "2000-13-03,0.1,0.0,1.0,true\n", "2000-01-03,0.1,0.0,1.0\n",
+        "2000-01-03,x,0.0,1.0,true\n",
+    ], ids=["bad-date", "ragged-row", "bad-number"])
+    def test_malformed_zeta_csv_exit_code_2(self, tmp_path, capsys, body):
+        p = tmp_path / "zeta_path.csv"
+        p.write_text("date,zeta,lower,upper,efficient_flag\n"
+                     "2000-01-02,0.3,0.0,1.0,true\n" + body, encoding="utf-8")
+        assert run_cli("segments", "--zeta", str(p), "-o", str(tmp_path / "out")) == 2
+        assert f"{p}: line 3:" in capsys.readouterr().err
+
     def test_synth_ingest_round_trip(self, tmp_path):
         prices = tmp_path / "p.csv"
         assert run_cli("synth", "--kind", "iid", "--T", "60", "--n", "2",

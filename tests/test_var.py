@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from tveff.errors import DataError, NumericalError
 from tveff.synth import ScenarioSpec, gen_returns
@@ -69,6 +70,17 @@ def oracle_hac(W, e, L):
             S += w * e[t] * e[t - l] * cross
     G = np.linalg.inv(W.T @ W)
     return G @ S @ G
+
+
+def oracle_lc_cdf(x, dof):
+    """Gil-Pelaez CDF of sum_j chi2_dof,j / (j pi)^2 by adaptive quadrature over t."""
+    def integrand(t):
+        w = np.sqrt(-2j * t)
+        log_cf = -0.5 * dof * (w - np.log(2 * w) + np.log(-np.expm1(-2 * w)))
+        return np.imag(np.exp(log_cf - 1j * t * x)) / t
+
+    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=2000, epsabs=1e-14, epsrel=1e-13)
+    return 0.5 - val / np.pi
 
 
 def oracle_lc(W, resid):
@@ -224,19 +236,32 @@ class TestHansenLc:
 
     def test_critical_values_monotone_in_dof(self):
         prev = 0.0
-        for dof in range(1, 21):
+        for dof in range(1, 61):
             cv = constancy_critical_values(dof)
             assert cv["1%"] > cv["5%"] > cv["10%"]
             assert cv["5%"] > prev
             prev = cv["5%"]
 
-    def test_simulated_tail_extends_table(self):
-        from tveff.var import _simulate_lc_quantiles
+    def test_dof_one_matches_published_cramer_von_mises_points(self):
+        cv = constancy_critical_values(1)
+        np.testing.assert_allclose([cv["10%"], cv["5%"], cv["1%"]],
+                                   [0.347, 0.461, 0.743], atol=5e-4)
 
-        q10, q5, q1 = _simulate_lc_quantiles(21, n_paths=4000, grid=400)
-        cv20 = constancy_critical_values(20)
-        assert q5 > cv20["5%"]
-        assert q1 > q5 > q10
+    @pytest.mark.parametrize("dof", [1, 8, 24, 72, 300])
+    def test_critical_values_invert_the_limiting_cdf(self, dof):
+        cv = constancy_critical_values(dof)
+        for level, p in (("10%", 0.90), ("5%", 0.95), ("1%", 0.99)):
+            assert abs(oracle_lc_cdf(cv[level], dof) - p) < 1e-9
+
+    def test_monte_carlo_cross_check_at_dof_24(self):
+        dof, terms, draws = 24, 200, 20_000
+        scale = 1.0 / (np.arange(1, terms + 1) * np.pi) ** 2
+        rng = np.random.default_rng(20240901)
+        # truncated series plus the mean of its tail, sum_j 1/(j pi)^2 = 1/6
+        q = rng.chisquare(dof, size=(draws, terms)) @ scale + dof * (1 / 6 - scale.sum())
+        cv = constancy_critical_values(dof)
+        for level, p in (("10%", 0.10), ("5%", 0.05), ("1%", 0.01)):
+            assert abs(np.mean(q > cv[level]) - p) < 4 * np.sqrt(p * (1 - p) / draws)
 
 
 class TestLongRunMultiplier:
