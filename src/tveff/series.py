@@ -1,8 +1,8 @@
 """Price ingestion, gap repair, log returns and descriptive statistics.
 
 CSV input expects a header row with one date column (ISO-8601 by default)
-and one or more price columns.  Empty or unparseable price cells are
-treated as missing and later filled by natural cubic spline interpolation
+and one or more price columns.  Empty, unparseable or NaN price cells
+are treated as missing and later filled by natural cubic spline interpolation
 over the integer observation index; trading-day spacing, not calendar
 distance, is the metric, so weekend/holiday gaps carry no special weight.
 Dates are otherwise opaque ordered labels.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -162,9 +163,10 @@ def _parse_date(raw: str, fmt: str, row: int) -> np.datetime64:
 def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
     """Read a dated price CSV into a :class:`PriceSeries`.
 
-    Rows are sorted by date.  Empty or unparseable price cells become
-    missing entries; a parseable zero or negative price is rejected with
-    its row number.  Duplicate dates are rejected.
+    Rows are sorted by date.  Empty, unparseable or NaN price cells
+    become missing entries; an infinite, zero or negative price is
+    rejected with its row number and column.  Duplicate dates are
+    rejected.
     """
     schema = schema or CsvSchema()
     path = Path(path)
@@ -199,17 +201,16 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
             vals: list[float] = []
             miss: list[bool] = []
             for col in price_cols:
-                cell = (record.get(col) or "").strip()
-                if cell == "":
-                    vals.append(np.nan)
-                    miss.append(True)
-                    continue
                 try:
-                    value = float(cell)
-                except ValueError:
+                    value = float((record.get(col) or "").strip())
+                except ValueError:  # empty or unparseable
+                    value = np.nan
+                if math.isnan(value):
                     vals.append(np.nan)
                     miss.append(True)
                     continue
+                if math.isinf(value):
+                    raise DataError(f"row {i}: infinite price {value!r} in column {col!r}")
                 if value <= 0:
                     raise DataError(f"row {i}: non-positive price {value!r} in column {col!r}")
                 vals.append(value)

@@ -20,17 +20,20 @@ system positive definite and yields the natural all-zero path for them.
 
 The per-period efficiency degree zeta_t = ||Phi_t(1) - I||_2, with
 Phi_t(1) = (I - sum_l A_{t,l})^{-1}, is computed in closed form for
-n <= 2: |a / (1 - a)| for a univariate lag sum a, and for n = 2 the
-adjugate inverse with the exact 2x2 largest-singular-value formula.  For
-n >= 3, and at any n <= 2 period whose estimated condition number of
-I - sum_l A_l is not finite or at least 1e8, zeta comes from batched
-singular value decompositions, which also decide which periods are
-flagged singular (condition above 1e12).
+n <= 3: |a / (1 - a)| for a univariate lag sum a; for n = 2 the
+adjugate inverse with the exact 2x2 largest-singular-value formula; for
+n = 3 the adjugate by cofactors and the largest eigenvalue of a 3x3
+Gram matrix by the trigonometric formula.  For n >= 4, at any n <= 3
+period whose estimated condition number of I - sum_l A_l is not finite
+or at least 1e8 (for n = 3 a Frobenius-norm bound, never below the true
+condition), and at n = 3 periods where that Gram matrix has a nearly
+double largest eigenvalue, zeta comes from batched singular value
+decompositions, which also decide which periods are flagged singular
+(condition above 1e12).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +57,10 @@ _COND_LIMIT = 1e12
 # is negligible, and it sits far below _COND_LIMIT, so every flag is
 # decided by the SVD.
 _FAST_COND_LIMIT = 1e8
+# The n = 3 closed form hands a period to the SVD route when 1 + r of the
+# trigonometric eigenvalue formula is below this; above it the formula's
+# rounding stays within about 1e-13 relative.
+_DOUBLE_ROOT_MARGIN = 1e-6
 
 
 @dataclass
@@ -249,7 +256,6 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     system = build_stacked_system(values, q, lam)
     m, k = system.m, system.k
 
-    t0 = time.perf_counter()
     try:
         factor = cholesky_banded(system.band, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -276,7 +282,6 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     A_path = np.transpose(path4, (0, 1, 3, 2)).copy()
     fitted = nu[None, :] + np.einsum("rk,rki->ri", system.regressors, beta.reshape(m, k, n))
     residuals = system.targets - fitted
-    solve_seconds = time.perf_counter() - t0
 
     return TvVarFit(
         q=q,
@@ -286,7 +291,7 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
         residuals=residuals,
         labels=labels,
         dates=None if dates is None else dates[q:].copy(),
-        diagnostics={"condition_estimate": cond_est, "solve_seconds": solve_seconds},
+        diagnostics={"condition_estimate": cond_est},
     )
 
 
@@ -316,27 +321,63 @@ def _sigma_max_2x2(a, b, c, d):
 
 
 def _zeta_closed_form(A_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zeta and a condition estimate of ``I - A_sum`` for n <= 2.
+    """Zeta and a condition estimate of ``I - A_sum`` for n <= 3.
 
     Uses ``Phi(1) - I = S^{-1} A_sum`` with ``S = I - A_sum``, so a small
     lag sum is not lost to cancellation in ``S^{-1} - I``.  n = 1:
     zeta = |a / (1 - a)| and the condition is 1 (NaN when S is zero or
     not finite).  n = 2: adjugate inverse, and cond = s_max^2 / |det S|
-    since s_max * s_min = |det S|.
+    since s_max * s_min = |det S|.  n = 3: adjugate by cofactors, the
+    Frobenius bound cond_F = ||S||_F ||adj S||_F / |det S| >= cond_2,
+    and s_max of M = adj(S) A_sum as the square root of the largest
+    eigenvalue of M'M by the trigonometric formula for symmetric 3x3
+    matrices (Smith 1961, CACM 4:168); zeta = s_max(M) / |det S|, or NaN
+    where that eigenvalue is nearly double (see ``_DOUBLE_ROOT_MARGIN``).
     """
+    n = A_sum.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if A_sum.shape[-1] == 1:
+        if n == 1:
             a = A_sum[:, 0, 0]
             s = 1.0 - a
             return np.abs(a / s), np.abs(s) / np.abs(s)
-        e, f, g, h = A_sum[:, 0, 0], A_sum[:, 0, 1], A_sum[:, 1, 0], A_sum[:, 1, 1]
-        a, b, c, d = 1.0 - e, -f, -g, 1.0 - h  # S = [[a, b], [c, d]]
-        det = np.abs(a * d - b * c)
-        cond = _sigma_max_2x2(a, b, c, d) ** 2 / det
-        # adj(S) @ A_sum, divided by |det S| after the singular value
-        zeta = _sigma_max_2x2(d * e - b * g, d * f - b * h,
-                              a * g - c * e, a * h - c * f) / det
-    return zeta, cond
+        if n == 2:
+            e, f, g, h = A_sum[:, 0, 0], A_sum[:, 0, 1], A_sum[:, 1, 0], A_sum[:, 1, 1]
+            a, b, c, d = 1.0 - e, -f, -g, 1.0 - h  # S = [[a, b], [c, d]]
+            det = np.abs(a * d - b * c)
+            cond = _sigma_max_2x2(a, b, c, d) ** 2 / det
+            # adj(S) @ A_sum, divided by |det S| after the singular value
+            zeta = _sigma_max_2x2(d * e - b * g, d * f - b * h,
+                                  a * g - c * e, a * h - c * f) / det
+            return zeta, cond
+        A = [[A_sum[:, i, j] for j in range(3)] for i in range(3)]
+        S = [[float(i == j) - A[i][j] for j in range(3)] for i in range(3)]
+        # signed cofactors by cyclic indices: C[i][j] = (-1)^(i+j) minor
+        C = [[S[(i + 1) % 3][(j + 1) % 3] * S[(i + 2) % 3][(j + 2) % 3]
+              - S[(i + 1) % 3][(j + 2) % 3] * S[(i + 2) % 3][(j + 1) % 3]
+              for j in range(3)] for i in range(3)]
+        det = np.abs(S[0][0] * C[0][0] + S[0][1] * C[0][1] + S[0][2] * C[0][2])
+        frob2_S, frob2_C = (sum(x * x for row in X for x in row) for X in (S, C))
+        cond = np.sqrt(frob2_S * frob2_C) / det
+        # M = adj(S) @ A_sum with adj(S)[i][j] = C[j][i]; G = M'M
+        M = [[C[0][i] * A[0][k] + C[1][i] * A[1][k] + C[2][i] * A[2][k]
+              for k in range(3)] for i in range(3)]
+        g00, g11, g22, g01, g02, g12 = (
+            M[0][i] * M[0][j] + M[1][i] * M[1][j] + M[2][i] * M[2][j]
+            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+        q = (g00 + g11 + g22) / 3.0
+        d0, d1, d2 = g00 - q, g11 - q, g22 - q
+        p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                     + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+        # B = (G - qI) / p, symmetric; r = det(B) / 2
+        b00, b11, b22, b01, b02, b12 = (x / p for x in (d0, d1, d2, g01, g02, g12))
+        r = np.clip((b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+                     + b02 * (b01 * b12 - b11 * b02)) / 2.0, -1.0, 1.0)
+        # r near -1 means the two largest eigenvalues nearly coincide, where
+        # the formula keeps only about half the digits (error ~ eps / sqrt(1 + r));
+        # those periods are left NaN for the SVD route
+        lam_max = np.where(1.0 + r > _DOUBLE_ROOT_MARGIN,
+                           q + 2.0 * p * np.cos(np.arccos(r) / 3.0), np.nan)
+        return np.sqrt(np.where(p > 0, lam_max, q)) / det, cond
 
 
 def zeta_from_coefficient_stack(A_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,11 +387,12 @@ def zeta_from_coefficient_stack(A_stack: np.ndarray) -> tuple[np.ndarray, np.nda
     number above ``_COND_LIMIT`` or not finite) are flagged and reported
     as NaN instead of aborting the whole path.
 
-    For n <= 2 zeta comes from exact closed forms (see
-    ``_zeta_closed_form``); any period whose estimated condition is not
-    finite or at least ``_FAST_COND_LIMIT`` is handed to the singular
-    value route, which serves every period for n >= 3.  Flagging is
-    therefore decided by singular values alone.
+    For n <= 3 zeta comes from exact closed forms (see
+    ``_zeta_closed_form``); any period whose condition estimate (an upper
+    bound on cond_2 for n = 3) is not finite or at least
+    ``_FAST_COND_LIMIT``, or whose closed-form zeta is NaN, is handed to
+    the singular value route, which serves every period for n >= 4.
+    Flagging is therefore decided by singular values alone.
     """
     n = A_stack.shape[2]
     # lag by lag: several times faster than .sum(axis=1) over the short
@@ -358,11 +400,11 @@ def zeta_from_coefficient_stack(A_stack: np.ndarray) -> tuple[np.ndarray, np.nda
     A_sum = A_stack[:, 0].copy()
     for l in range(1, A_stack.shape[1]):
         A_sum += A_stack[:, l]
-    if n > 2:
+    if n > 3:
         return _zeta_svd(np.eye(n)[None, :, :] - A_sum)
     zeta, cond = _zeta_closed_form(A_sum)
     flagged = np.zeros(zeta.shape, dtype=bool)
-    slow = ~(cond < _FAST_COND_LIMIT)  # NaN estimates included
+    slow = ~(cond < _FAST_COND_LIMIT) | np.isnan(zeta)  # NaN estimates included
     if slow.any():
         zeta[slow], flagged[slow] = _zeta_svd(np.eye(n)[None, :, :] - A_sum[slow])
     return zeta, flagged

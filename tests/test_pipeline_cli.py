@@ -272,6 +272,21 @@ class TestCli:
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=60, n=2, sigma_eps=0.01, seed=3))
         np.testing.assert_allclose(back.values, X.values, atol=1e-12)
 
+    def test_ingest_repairs_nan_cell_by_spline(self, tmp_path):
+        # collinear prices, so the natural spline fills the NaN with the line
+        rows = [f"2020-01-{d:02d},{100 + d},{50 + 2 * d}" for d in range(1, 9)]
+        text = "date,a,b\n" + "\n".join(rows) + "\n"
+        p_nan, p_empty = tmp_path / "nan.csv", tmp_path / "empty.csv"
+        p_nan.write_text(text.replace("2020-01-04,104", "2020-01-04,NaN"), encoding="utf-8")
+        p_empty.write_text(text.replace("2020-01-04,104", "2020-01-04,"), encoding="utf-8")
+        assert run_cli("ingest", "-i", str(p_nan), "-o", str(tmp_path / "nan")) == 0
+        assert run_cli("ingest", "-i", str(p_empty), "-o", str(tmp_path / "empty")) == 0
+        clean = (tmp_path / "nan" / "prices_clean.csv").read_text(encoding="utf-8")
+        assert clean == (tmp_path / "empty" / "prices_clean.csv").read_text(encoding="utf-8")
+        repaired = list(csv.reader(io.StringIO(clean)))[4]
+        assert repaired[0] == "2020-01-04"
+        assert abs(float(repaired[1]) - 104.0) < 1e-9
+
     def test_chained_equals_single_shot(self, tmp_path):
         prices, _ = synth_prices(tmp_path, T=200, period=100.0)
         # explicit order and settings, then q by SBIC with lam/min_run at their defaults

@@ -51,6 +51,21 @@ class TestLoadCsv:
         s = load_csv(p)
         assert s.missing_mask[1, 0]
 
+    @pytest.mark.parametrize("cell", ["NaN", "nan", "-nan"])
+    def test_nan_cell_becomes_missing(self, tmp_path, cell):
+        p = write_csv(tmp_path, f"date,a,b\n2020-01-01,100,5\n2020-01-02,{cell},6\n"
+                                "2020-01-03,102,7\n")
+        s = load_csv(p)
+        np.testing.assert_array_equal(s.missing_mask, [[False, False], [True, False],
+                                                       [False, False]])
+        assert np.isnan(s.prices[1, 0])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+    def test_infinite_price_rejected_with_row_and_column(self, tmp_path, cell):
+        p = write_csv(tmp_path, f"date,a,b\n2020-01-01,100,5\n2020-01-02,101,{cell}\n")
+        with pytest.raises(DataError, match=r"row 3: infinite price .* column 'b'"):
+            load_csv(p)
+
     def test_duplicate_date_rejected_naming_it(self, tmp_path):
         p = write_csv(tmp_path, "date,a\n2020-01-01,100\n2020-01-01,101\n")
         with pytest.raises(DataError, match="2020-01-01"):

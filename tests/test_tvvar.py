@@ -10,6 +10,7 @@ from tveff.tvvar import (
     _FAST_COND_LIMIT,
     EfficiencyPath,
     _zeta_closed_form,
+    _zeta_svd,
     build_stacked_system,
     solve_tvvar,
     tv_efficiency_path,
@@ -223,6 +224,19 @@ class TestEfficiencyPathOps:
         assert not flagged.any()
         np.testing.assert_allclose(path.zeta, ref, rtol=1e-12, atol=1e-14)
 
+    def test_trivariate_fit_takes_closed_form_everywhere(self):
+        X, _ = gen_returns(ScenarioSpec(kind="iid", T=2000, n=3, seed=0))
+        fit = solve_tvvar(X, q=2, lam=1.0)
+        A_sum = fit.A_path.sum(axis=1)
+        closed, estimate = _zeta_closed_form(A_sum)
+        assert (estimate < _FAST_COND_LIMIT).all()
+        assert not np.isnan(closed).any()
+        ref, ref_flagged = _zeta_svd(np.eye(3)[None] - A_sum)
+        assert not ref_flagged.any()
+        path = tv_efficiency_path(fit)
+        assert not path.flagged.any()
+        np.testing.assert_allclose(path.zeta, ref, rtol=1e-12)
+
     def test_singular_period_flagged_not_fatal(self):
         fit = solve_tvvar(np.zeros((60, 1)), q=1, lam=1.0)
         fit.A_path[10] = 1.0  # I - A singular at one period
@@ -342,8 +356,10 @@ class TestZetaFlagBoundary:
     """Near-singular I - sum A on both sides of the closed-form cut-off.
 
     S = [[1, 1], [1, 1 + eps]] with eps a power of two has det S = eps
-    exactly and condition about 4 / eps; for n = 1, S = eps.  The lag sum
-    is split over two lags, exactly, so every S is represented exactly.
+    exactly and condition about 4 / eps; for n = 1, S = eps; for n = 3 the
+    2x2 S bordered by a unit diagonal entry, with the same det and
+    condition and a Frobenius estimate of about 4.5 / eps.  The lag sum is
+    split over two lags, exactly, so every S is represented exactly.
     """
 
     EXPONENTS = (21, 28, 35, 41)  # 2x2 condition ~8e6, 1e9, 1.4e11, 9e12
@@ -378,3 +394,34 @@ class TestZetaFlagBoundary:
         np.testing.assert_array_equal(flagged, ref_flagged)
         np.testing.assert_allclose(zeta, ref, rtol=1e-12)
         np.testing.assert_array_equal(zeta[:4], [2.0**k - 1 for k in (23, 30, 37, 43)])
+
+    def test_trivariate_matches_oracle(self):
+        S = [[[1.0, 1.0, 0.0], [1.0, 1.0 + 2.0**-k, 0.0], [0.0, 0.0, 1.0]]
+             for k in self.EXPONENTS]
+        S += [[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # singular
+              np.zeros((3, 3)).tolist(),
+              [[0.75, -0.5, 0.0], [0.0, 0.75, -0.125], [-0.5, 0.0, 0.875]]]
+        A = self.stack(S)
+        ref, ref_flagged, cond = svd_zeta(A)
+        np.testing.assert_allclose(cond[:4], [8.4e6, 1.07e9, 1.37e11, 8.8e12], rtol=0.01)
+        np.testing.assert_array_equal(ref_flagged, [False, False, False, True, True, True, False])
+        _, estimate = _zeta_closed_form(A.sum(axis=1))
+        assert (estimate[:4] >= cond[:4]).all()
+        fast = estimate < _FAST_COND_LIMIT
+        np.testing.assert_array_equal(fast, [True, False, False, False, False, False, True])
+
+        zeta, flagged = zeta_from_coefficient_stack(A)
+        np.testing.assert_array_equal(flagged, ref_flagged)
+        np.testing.assert_allclose(zeta, ref, rtol=1e-12)  # NaN where flagged
+
+    def test_trivariate_double_largest_eigenvalue_goes_to_svd(self):
+        # Phi(1) - I has two equal largest singular values here, where the
+        # trigonometric formula alone is off by about 1e-9 relative
+        A = self.stack([[[0.7, -0.4, 0.0], [0.4, 0.7, 0.0], [0.0, 0.0, 0.8]]])
+        closed, estimate = _zeta_closed_form(A.sum(axis=1))
+        assert estimate[0] < _FAST_COND_LIMIT
+        assert np.isnan(closed[0])
+        ref, ref_flagged, _ = svd_zeta(A)
+        zeta, flagged = zeta_from_coefficient_stack(A)
+        assert not flagged[0] and not ref_flagged[0]
+        np.testing.assert_allclose(zeta, ref, rtol=1e-12)
