@@ -28,7 +28,7 @@ from .errors import DataError, NumericalError
 from .pipeline import (
     PipelineConfig,
     StageError,
-    _write_prices_csv,
+    _write_dated_csv,
     bootstrap_stage,
     emit_report,
     ingest_stage,
@@ -43,7 +43,7 @@ from .pipeline import (
     var_stage,
 )
 from .series import descriptive_stats
-from .synth import ScenarioSpec, gen_returns
+from .synth import ScenarioSpec, gen_returns, true_zeta_path
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -277,17 +277,11 @@ def _cmd_synth(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_prices_csv(out, dates, levels, returns.labels)
+    _write_dated_csv(out, dates, levels, returns.labels)
     print(f"wrote {out} ({spec.kind}, T={spec.T}, n={spec.n}, seed={spec.seed})")
     if args.true_zeta:
-        from .synth import true_zeta_path
-
-        zeta = true_zeta_path(path)
-        rows = ["date,zeta"]
-        for i in range(len(returns)):
-            z = zeta[i]
-            rows.append(f"{returns.dates[i]},{repr(float(z)) if np.isfinite(z) else ''}")
-        Path(args.true_zeta).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _write_dated_csv(Path(args.true_zeta), returns.dates, true_zeta_path(path)[:, None],
+                         ("zeta",))
         print(f"wrote {args.true_zeta}")
     return EXIT_OK
 

@@ -11,9 +11,10 @@ directory and its upstream values to ``(value, written paths)``.
 :func:`run_pipeline` chains them; each ``tveff`` stage subcommand calls
 the same function on artifacts read back from disk.
 
-Floats are serialized with ``repr`` (shortest round-trip form) so that
-artifacts read back exactly and re-runs compare byte-identically; JSON
-uses sorted keys and represents NaN as null.
+Every CSV artifact is written by :func:`_write_csv` under one cell rule,
+:func:`_cell`: floats in shortest round-trip form, empty for NaN, flags as
+``true``/``false``, RFC 4180 quoting, ``\n`` line ends.  Artifacts read back
+exactly and re-runs compare byte-identically; JSON uses sorted keys and NaN as null.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import platform
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -114,13 +116,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON in config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path))
 
     def bootstrap_spec(self, q: int) -> BootstrapSpec:
         return BootstrapSpec(
@@ -139,20 +135,45 @@ class PipelineConfig:
 
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form; empty string for NaN."""
-    if isinstance(x, float) and not np.isfinite(x):
+    return repr(float(x)) if math.isfinite(x) else ""
+
+
+def _cell(x) -> str:
+    """The cell rule of every CSV artifact."""
+    if isinstance(x, (float, np.floating)):
+        return _fmt(x)
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if x is None:
         return ""
-    return repr(float(x))
+    return str(x)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as one CSV artifact, each cell by :func:`_cell`."""
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def _write_records(path: Path, records: list[dict]) -> None:
+    """Records sharing one key order, written under their keys as the header."""
+    _write_csv(path, list(records[0]), (r.values() for r in records))
+
+
+def _write_dated_csv(path: Path, dates: np.ndarray, values: np.ndarray,
+                     labels: tuple[str, ...]) -> None:
+    """A ``date`` column and one column per label: the price and returns format."""
+    _write_csv(path, ["date", *labels],
+               ([d, *row] for d, row in zip(dates.tolist(), values.tolist())))
 
 
 def _jsonable(x):
-    if isinstance(x, float):
-        return None if not np.isfinite(x) else x
-    if isinstance(x, (np.floating,)):
-        return _jsonable(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x) if math.isfinite(x) else None
+    if isinstance(x, (np.integer, np.bool_)):
+        return x.item()
     if isinstance(x, np.datetime64):
         return str(x)
     if isinstance(x, np.ndarray):
@@ -170,18 +191,13 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def write_returns_csv(path: Path, returns: ReturnMatrix) -> None:
-    rows = [["date", *returns.labels]]
-    for i in range(len(returns)):
-        rows.append([str(returns.dates[i]), *[_fmt(v) for v in returns.values[i]]])
-    path.write_text(_csv_text(rows), encoding="utf-8")
+def _read_json(path: Path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
@@ -210,11 +226,28 @@ def _parse_rows(path: Path, header: list[str], rows: list[tuple[int, list[str]]]
     return out
 
 
+def _read_table(path: Path, header: list[str], parse) -> list:
+    """Parsed rows of an artifact CSV that must carry exactly ``header``."""
+    found, rows = _read_csv(path)
+    if found != header:
+        raise DataError(f"{path}: header is not {','.join(header)}")
+    return _parse_rows(path, header, rows, parse)
+
+
 def _day(cell: str) -> np.datetime64:
     day = np.datetime64(cell, "D")
     if np.isnat(day):
         raise ValueError(f"invalid date {cell!r}")
     return day
+
+
+def _num(cell: str) -> float:
+    """A float cell; empty means NaN."""
+    return float(cell) if cell else np.nan
+
+
+def write_returns_csv(path: Path, returns: ReturnMatrix) -> None:
+    _write_dated_csv(path, returns.dates, returns.values, returns.labels)
 
 
 def read_returns_csv(path: str | Path) -> ReturnMatrix:
@@ -231,40 +264,21 @@ def read_returns_csv(path: str | Path) -> ReturnMatrix:
     )
 
 
-def _write_prices_csv(path: Path, dates: np.ndarray, prices: np.ndarray,
-                      labels: tuple[str, ...]) -> None:
-    rows = [["date", *labels]]
-    for i in range(prices.shape[0]):
-        rows.append([str(dates[i]), *[_fmt(v) for v in prices[i]]])
-    path.write_text(_csv_text(rows), encoding="utf-8")
+_ZETA_HEADER = ["date", "zeta", "lower", "upper", "efficient_flag"]
+_SEGMENT_HEADER = ["start", "end", "label", "mean_zeta"]
+_REGIME_HEADER = ["regime", "start", "end", "sd_zeta", "efficient_share", "count"]
 
 
 def write_zeta_csv(path: Path, ep: EfficiencyPath) -> None:
-    rows = [["date", "zeta", "lower", "upper", "efficient_flag"]]
-    lower = ep.band_lower if ep.band_lower is not None else np.full(len(ep), np.nan)
-    upper = ep.band_upper if ep.band_upper is not None else np.full(len(ep), np.nan)
-    flags = ep.efficient_flag
-    for i in range(len(ep)):
-        rows.append([
-            str(ep.dates[i]),
-            _fmt(ep.zeta[i]),
-            _fmt(lower[i]),
-            _fmt(upper[i]),
-            "" if flags is None else ("true" if flags[i] else "false"),
-        ])
-    path.write_text(_csv_text(rows), encoding="utf-8")
+    bands = (ep.band_lower, ep.band_upper, ep.efficient_flag)
+    _write_csv(path, _ZETA_HEADER, zip(ep.dates.tolist(), ep.zeta.tolist(), *(
+        [None] * len(ep) if col is None else col.tolist() for col in bands)))
 
 
 def read_zeta_csv(path: str | Path) -> EfficiencyPath:
     path = Path(path)
-    header, rows = _read_csv(path)
-    if header != ["date", "zeta", "lower", "upper", "efficient_flag"]:
-        raise DataError(f"{path}: not an efficiency-path CSV")
-
-    def parse(rec: list[str]) -> tuple:
-        return (_day(rec[0]), *[float(v) if v else np.nan for v in rec[1:4]], rec[4])
-
-    dates, zeta, lower, upper, flags = zip(*_parse_rows(path, header, rows, parse))
+    dates, zeta, lower, upper, flags = zip(*_read_table(
+        path, _ZETA_HEADER, lambda rec: (_day(rec[0]), *[_num(v) for v in rec[1:4]], rec[4])))
     zeta_arr = np.asarray(zeta)
     ep = EfficiencyPath(
         dates=np.array(dates, dtype="datetime64[D]"),
@@ -275,22 +289,13 @@ def read_zeta_csv(path: str | Path) -> EfficiencyPath:
     return ep.with_bands(np.asarray(lower), np.asarray(upper)) if any(flags) else ep
 
 
-def _table1_rows(stats: StatsSummary, tests: list[AdfGlsResult]) -> list[dict]:
-    rows = []
-    for j, lab in enumerate(stats.labels):
-        t = tests[j]
-        rows.append({
-            "series": lab,
-            "mean": float(stats.mean[j]),
-            "sd": float(stats.sd[j]),
-            "max": float(stats.maximum[j]),
-            "min": float(stats.minimum[j]),
-            "adf_gls": t.statistic,
-            "lags": t.selected_lag,
-            "phi_hat": t.phi_hat,
-            "n": stats.count,
-        })
-    return rows
+def _stats_rows(stats: StatsSummary) -> list[dict]:
+    """One record per column: series, Mean, SD, Max, Min, N."""
+    return [
+        {"series": lab, "mean": stats.mean[j], "sd": stats.sd[j],
+         "max": stats.maximum[j], "min": stats.minimum[j], "n": stats.count}
+        for j, lab in enumerate(stats.labels)
+    ]
 
 
 def _term_names(labels: tuple[str, ...], q: int) -> list[str]:
@@ -324,7 +329,7 @@ def ingest_stage(config: PipelineConfig, out: Path) -> tuple[ReturnMatrix, list[
         raise DataError("input has missing prices and interpolation is disabled")
     returns = log_returns(prices)
     p_prices, p_returns = out / "prices_clean.csv", out / "returns.csv"
-    _write_prices_csv(p_prices, prices.dates, prices.prices, prices.labels)
+    _write_dated_csv(p_prices, prices.dates, prices.prices, prices.labels)
     write_returns_csv(p_returns, returns)
     return returns, [p_prices, p_returns]
 
@@ -332,9 +337,10 @@ def ingest_stage(config: PipelineConfig, out: Path) -> tuple[ReturnMatrix, list[
 def stats_stage(out: Path, returns: ReturnMatrix) -> tuple[StatsSummary, list[Path]]:
     """Descriptive statistics of the returns."""
     stats = descriptive_stats(returns)
+    rows = _stats_rows(stats)
     p_csv, p_json = out / "stats.csv", out / "stats.json"
-    p_csv.write_text(stats.to_csv(), encoding="utf-8")
-    p_json.write_text(stats.to_json() + "\n", encoding="utf-8")
+    _write_records(p_csv, rows)
+    _write_json(p_json, {"sd_denominator": "sample (N-1)", "columns": rows})
     return stats, [p_csv, p_json]
 
 
@@ -345,15 +351,11 @@ def unitroot_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix,
         adf_gls(returns.values[:, j], model=config.unitroot_model, k_max=config.unitroot_k_max)
         for j in range(returns.n_columns)
     ]
-    rows = _table1_rows(stats, tests)
-    csv_rows = [["series", "mean", "sd", "max", "min", "adf_gls", "lags", "phi_hat", "n"]]
-    for r in rows:
-        csv_rows.append([
-            r["series"], _fmt(r["mean"]), _fmt(r["sd"]), _fmt(r["max"]), _fmt(r["min"]),
-            _fmt(r["adf_gls"]), str(r["lags"]), _fmt(r["phi_hat"]), str(r["n"]),
-        ])
+    rows = _stats_rows(stats)
+    for row, t in zip(rows, tests):  # N stays the last column
+        row.update(adf_gls=t.statistic, lags=t.selected_lag, phi_hat=t.phi_hat, n=row.pop("n"))
     p_csv, p_json = out / "table1.csv", out / "table1.json"
-    p_csv.write_text(_csv_text(csv_rows), encoding="utf-8")
+    _write_records(p_csv, rows)
     _write_json(p_json, {
         "columns": rows,
         "model": tests[0].model,
@@ -370,14 +372,14 @@ def var_stage(out: Path, returns: ReturnMatrix, q: int) -> tuple[ConstancyTest, 
     terms = _term_names(fit.labels, fit.q)
     # coefficient matrix in regressor order: (p, n)
     stacked = np.vstack([fit.nu[None, :]] + [A.T for A in fit.A])
-    csv_rows = [["term", *fit.labels]]
+    rows = []
     for i, term in enumerate(terms):
-        csv_rows.append([term, *[_fmt(v) for v in stacked[i]]])
-        csv_rows.append([f"{term} (se)", *[_fmt(v) for v in se[i]]])
-    csv_rows.append(["adj_r2", *[_fmt(v) for v in fit.adj_r2]])
-    csv_rows.append(["Lc", _fmt(lc.lc_statistic), *[""] * (fit.n_series - 1)])
+        rows.append([term, *stacked[i]])
+        rows.append([f"{term} (se)", *se[i]])
+    rows.append(["adj_r2", *fit.adj_r2])
+    rows.append(["Lc", lc.lc_statistic, *[None] * (fit.n_series - 1)])
     p_csv, p_json = out / "table2.csv", out / "table2.json"
-    p_csv.write_text(_csv_text(csv_rows), encoding="utf-8")
+    _write_csv(p_csv, ["term", *fit.labels], rows)
     _write_json(p_json, {
         "q": fit.q,
         "labels": list(fit.labels),
@@ -403,16 +405,12 @@ def tvvar_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int
     write_zeta_csv(p_tv, path)
     if coef_out is None:
         return path, [p_tv]
-    rows = [["date", "lag", "equation", "regressor", "value"]]
-    dates = fit.dates if fit.dates is not None else np.arange(fit.nobs)
-    for t in range(fit.nobs):
-        for l in range(fit.q):
-            for i, eq in enumerate(fit.labels):
-                for j, reg in enumerate(fit.labels):
-                    rows.append([str(dates[t]), l + 1, eq, reg,
-                                 repr(float(fit.A_path[t, l, i, j]))])
+    dates = (fit.dates if fit.dates is not None else np.arange(fit.nobs)).tolist()
     p_coef = Path(coef_out)
-    p_coef.write_text(_csv_text(rows), encoding="utf-8")
+    _write_csv(p_coef, ["date", "lag", "equation", "regressor", "value"], (
+        (dates[t], l + 1, fit.labels[i], fit.labels[j], value)
+        for (t, l, i, j), value in zip(np.ndindex(fit.A_path.shape), fit.A_path.ravel().tolist())
+    ))
     return path, [p_tv, p_coef]
 
 
@@ -439,18 +437,12 @@ def segments_stage(config: PipelineConfig, out: Path,
     """Efficient/inefficient segments and the per-regime volatility of ζ."""
     segments = classify_segments(ep, min_run=config.min_run)
     summary = regime_volatility(ep, config.breakpoints)
-    seg_rows = [["start", "end", "label", "mean_zeta"]]
-    for s in segments:
-        seg_rows.append([str(s.start), str(s.end), s.label, _fmt(s.mean_zeta)])
-    reg_rows = [["regime", "start", "end", "sd_zeta", "efficient_share", "count"]]
-    for r in range(summary.sd.shape[0]):
-        reg_rows.append([
-            str(r + 1), str(summary.starts[r]), str(summary.ends[r]),
-            _fmt(summary.sd[r]), _fmt(summary.efficient_share[r]), str(summary.counts[r]),
-        ])
     p_seg, p_reg = out / "segments.csv", out / "regimes.csv"
-    p_seg.write_text(_csv_text(seg_rows), encoding="utf-8")
-    p_reg.write_text(_csv_text(reg_rows), encoding="utf-8")
+    _write_csv(p_seg, _SEGMENT_HEADER, ((s.start, s.end, s.label, s.mean_zeta) for s in segments))
+    _write_csv(p_reg, _REGIME_HEADER, zip(
+        range(1, len(summary.sd) + 1), summary.starts, summary.ends,
+        summary.sd, summary.efficient_share, summary.counts,
+    ))
     return segments, [p_seg, p_reg]
 
 
@@ -469,12 +461,13 @@ def plot_data(ep: EfficiencyPath, out_dir: str | Path, stem: str = "zeta_plot") 
         raise DataError("path has no bands; nothing to plot")
     out_dir = Path(out_dir)
     svg = _svg_chart(ep)  # raises before anything is written
-    rows = [["date", "series", "value"]]
-    for name, arr in (("zeta", ep.zeta), ("lower", ep.band_lower), ("upper", ep.band_upper)):
-        for i in range(len(ep)):
-            rows.append([str(ep.dates[i]), name, _fmt(arr[i])])
+    dates = ep.dates.tolist()
     p_csv = out_dir / f"{stem}.csv"
-    p_csv.write_text(_csv_text(rows), encoding="utf-8")
+    _write_csv(p_csv, ["date", "series", "value"], (
+        (d, name, v)
+        for name, arr in (("zeta", ep.zeta), ("lower", ep.band_lower), ("upper", ep.band_upper))
+        for d, v in zip(dates, arr.tolist())
+    ))
     p_svg = out_dir / f"{stem}.svg"
     p_svg.write_text(svg, encoding="utf-8")
     return p_csv, p_svg
@@ -541,7 +534,7 @@ def emit_report(artifact_dir: str | Path) -> str:
 
     t1 = out / "table1.json"
     if t1.exists():
-        data = json.loads(t1.read_text(encoding="utf-8"))
+        data = _read_json(t1)
         lines.append("Descriptive statistics and unit root tests")
         lines.append("-" * 60)
         wl = max(8, max(len(r["series"]) for r in data["columns"]) + 2)
@@ -559,7 +552,7 @@ def emit_report(artifact_dir: str | Path) -> str:
 
     t2 = out / "table2.json"
     if t2.exists():
-        data = json.loads(t2.read_text(encoding="utf-8"))
+        data = _read_json(t2)
         labels = data["labels"]
         lines.append(f"Time-invariant VAR({data['q']}) estimates")
         lines.append("-" * 60)
@@ -594,21 +587,17 @@ def emit_report(artifact_dir: str | Path) -> str:
             lines.append("")
             lines.append("Regime volatility of the efficiency degree")
             lines.append(f"{'regime':<8s}{'start':<14s}{'end':<14s}{'SD':>10s}{'eff. share':>12s}")
-            reader = csv.reader(io.StringIO(reg.read_text(encoding="utf-8")))
-            next(reader)
-            for rec in reader:
-                sd = _fmt4(float(rec[3])) if rec[3] else "--"
-                sh = _fmt4(float(rec[4])) if rec[4] else "--"
-                lines.append(f"{rec[0]:<8s}{rec[1]:<14s}{rec[2]:<14s}{sd:>10s}{sh:>12s}")
+            for regime, start, end, sd, share in _read_table(
+                    reg, _REGIME_HEADER, lambda rec: (*rec[:3], _num(rec[3]), _num(rec[4]))):
+                lines.append(f"{regime:<8s}{start:<14s}{end:<14s}"
+                             f"{_fmt4(sd):>10s}{_fmt4(share):>12s}")
         seg = out / "segments.csv"
         if seg.exists():
             lines.append("")
             lines.append("Efficiency segments")
-            reader = csv.reader(io.StringIO(seg.read_text(encoding="utf-8")))
-            next(reader)
-            for rec in reader:
-                mz = _fmt4(float(rec[3])) if rec[3] else "--"
-                lines.append(f"  {rec[0]} .. {rec[1]}  {rec[2]:<12s} mean zeta {mz}")
+            for start, end, label, mz in _read_table(
+                    seg, _SEGMENT_HEADER, lambda rec: (*rec[:3], _num(rec[3]))):
+                lines.append(f"  {start} .. {end}  {label:<12s} mean zeta {_fmt4(mz)}")
     else:
         lines.append("Time-varying efficiency degree")
         lines.append("-" * 60)

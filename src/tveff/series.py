@@ -11,7 +11,6 @@ Dates are otherwise opaque ordered labels.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -117,36 +116,6 @@ class StatsSummary:
     maximum: np.ndarray
     minimum: np.ndarray
     count: int
-    sd_is_sample: bool = True  # N-1 denominator
-
-    def to_rows(self) -> list[dict[str, object]]:
-        return [
-            {
-                "series": lab,
-                "mean": float(self.mean[j]),
-                "sd": float(self.sd[j]),
-                "max": float(self.maximum[j]),
-                "min": float(self.minimum[j]),
-                "n": self.count,
-            }
-            for j, lab in enumerate(self.labels)
-        ]
-
-    def to_json(self) -> str:
-        payload = {
-            "sd_denominator": "sample (N-1)" if self.sd_is_sample else "population (N)",
-            "columns": self.to_rows(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["series,mean,sd,max,min,n"]
-        for row in self.to_rows():
-            lines.append(
-                f"{row['series']},{row['mean']!r},{row['sd']!r},"
-                f"{row['max']!r},{row['min']!r},{row['n']}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _parse_date(raw: str, fmt: str, row: int) -> np.datetime64:
@@ -286,17 +255,15 @@ def log_returns(s: PriceSeries) -> ReturnMatrix:
     return ReturnMatrix(dates=s.dates[1:].copy(), values=values, labels=s.labels)
 
 
-def descriptive_stats(r: ReturnMatrix, sample_sd: bool = True) -> StatsSummary:
-    """Mean, SD, max, min and N per return column."""
+def descriptive_stats(r: ReturnMatrix) -> StatsSummary:
+    """Mean, sample SD (N-1 denominator), max, min and N per return column."""
     if len(r) < 2:
         raise DataError("need at least two return observations")
-    ddof = 1 if sample_sd else 0
     return StatsSummary(
         labels=r.labels,
         mean=r.values.mean(axis=0),
-        sd=r.values.std(axis=0, ddof=ddof),
+        sd=r.values.std(axis=0, ddof=1),
         maximum=r.values.max(axis=0),
         minimum=r.values.min(axis=0),
         count=len(r),
-        sd_is_sample=sample_sd,
     )

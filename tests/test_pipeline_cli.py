@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tveff.cli import main
 from tveff.errors import DataError
@@ -24,8 +27,8 @@ from tveff.pipeline import (
     write_zeta_csv,
 )
 from tveff.series import ReturnMatrix
-from tveff.synth import ScenarioSpec, gen_returns
-from tveff.tvvar import EfficiencyPath
+from tveff.synth import ScenarioSpec, gen_returns, true_zeta_path
+from tveff.tvvar import EfficiencyPath, solve_tvvar
 
 
 def synth_prices(tmp_path, name="prices.csv", **kw):
@@ -60,6 +63,23 @@ def small_config(tmp_path, prices, **overrides):
     return PipelineConfig.from_dict(cfg)
 
 
+# column labels a CSV must carry intact: commas, quotes, spaces, any printable text
+LABELS = st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1, max_size=8)
+
+
+def same_cell(cell, value):
+    """A CSV cell against its JSON companion value, bit for bit after parsing."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, int):
+        return int(cell) == value
+    if isinstance(value, float):
+        return float(cell).hex() == value.hex()
+    return cell == value
+
+
 class TestRoundTrips:
     def test_returns_csv_round_trip_exact(self, tmp_path):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=50, n=2, sigma_eps=0.01, seed=1))
@@ -91,6 +111,50 @@ class TestRoundTrips:
             assert np.array_equal(back.efficient_flag, ep.efficient_flag)
             assert [(s.start_index, s.end_index, s.label) for s in classify_segments(back, 1)] \
                 == [(s.start_index, s.end_index, s.label) for s in classify_segments(ep, 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_returns_csv_round_trip_property(self, tmp_path_factory, data):
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+        X = ReturnMatrix(
+            dates=np.array(data.draw(st.lists(st.dates(), min_size=m, max_size=m)),
+                           dtype="datetime64[D]"),
+            values=data.draw(hnp.arrays(np.float64, (m, n), elements=st.floats(
+                allow_nan=False, allow_infinity=False))),
+            labels=tuple(data.draw(st.lists(LABELS, min_size=n, max_size=n))),
+        )
+        p = tmp_path_factory.mktemp("returns") / "r.csv"
+        write_returns_csv(p, X)
+        back = read_returns_csv(p)
+        assert back.labels == X.labels
+        assert np.array_equal(back.dates, X.dates)
+        assert back.values.tobytes() == X.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_zeta_csv_round_trip_property(self, tmp_path_factory, data):
+        m = data.draw(st.integers(1, 12))
+        cells = st.floats(allow_infinity=False)  # NaN included: an empty cell
+        zeta = data.draw(hnp.arrays(np.float64, m, elements=st.floats(0, 1e6) | st.just(np.nan)))
+        ep = EfficiencyPath(
+            dates=np.array(data.draw(st.lists(st.dates(), min_size=m, max_size=m)),
+                           dtype="datetime64[D]"),
+            zeta=zeta, flagged=~np.isfinite(zeta),
+        )
+        if data.draw(st.booleans(), label="banded"):
+            ep = ep.with_bands(data.draw(hnp.arrays(np.float64, m, elements=cells)),
+                               data.draw(hnp.arrays(np.float64, m, elements=cells)))
+        p = tmp_path_factory.mktemp("zeta") / "z.csv"
+        write_zeta_csv(p, ep)
+        back = read_zeta_csv(p)
+        assert np.array_equal(back.dates, ep.dates)
+        assert np.array_equal(back.zeta, ep.zeta, equal_nan=True)
+        assert np.array_equal(back.flagged, ep.flagged)
+        for name in ("band_lower", "band_upper", "efficient_flag"):
+            got, want = getattr(back, name), getattr(ep, name)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), name
 
 
 class TestPipeline:
@@ -156,6 +220,29 @@ class TestPipeline:
         run_pipeline(config)
         text = (Path(config.output_dir) / "regimes.csv").read_text()
         assert len(text.strip().splitlines()) == 3  # header + 2 regimes
+
+    def test_csv_matches_json_companion(self, tmp_path):
+        prices, _ = synth_prices(tmp_path)
+        config = small_config(tmp_path, prices)
+        run_pipeline(config)
+        out = Path(config.output_dir)
+
+        def read(name):
+            return list(csv.reader(io.StringIO((out / name).read_text(encoding="utf-8"))))
+
+        for name in ("stats", "table1"):
+            header, *rows = read(f"{name}.csv")
+            columns = json.loads((out / f"{name}.json").read_text())["columns"]
+            assert len(rows) == len(columns)
+            for rec, col in zip(rows, columns):
+                assert sorted(header) == sorted(col)
+                assert all(same_cell(c, col[k]) for k, c in zip(header, rec)), (name, rec)
+        header, *rows = read("zeta_path.csv")
+        path = json.loads((out / "zeta_path.json").read_text())
+        keys = {"date": "dates", "efficient_flag": "efficient"}
+        assert len(rows) == len(path["dates"])
+        for i, rec in enumerate(rows):
+            assert all(same_cell(c, path[keys.get(k, k)][i]) for k, c in zip(header, rec)), rec
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(DataError, match="unknown config keys"):
@@ -261,6 +348,61 @@ class TestCli:
                      "2000-01-02,0.3,0.0,1.0,true\n" + body, encoding="utf-8")
         assert run_cli("segments", "--zeta", str(p), "-o", str(tmp_path / "out")) == 2
         assert f"{p}: line 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("segments.csv", "start,end,label,mean_zeta\n2000-01-02,2000-01-02,efficient\n",
+         "line 2:"),
+        ("regimes.csv", "regime,start,end,sd_zeta,efficient_share,count\n"
+         "1,2000-01-02,2000-01-02,x,1.0,1\n", "line 2:"),
+        ("table1.json", "{", "invalid JSON"),
+        ("table2.json", "[1,", "invalid JSON"),
+    ], ids=["segments-ragged-row", "regimes-bad-number", "table1-bad-json", "table2-bad-json"])
+    def test_malformed_report_artifact_exit_code_2(self, tmp_path, capsys, name, text, message):
+        (tmp_path / "zeta_path.csv").write_text(
+            "date,zeta,lower,upper,efficient_flag\n2000-01-02,0.3,0.0,1.0,true\n",
+            encoding="utf-8")
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        assert run_cli("report", "--artifacts", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and message in err
+
+    def test_stats_csv_quotes_label_with_comma(self, tmp_path):
+        rows = [f"2020-01-{d:02d},{100 + d},{50 + d * d}" for d in range(1, 9)]
+        p = tmp_path / "prices.csv"
+        p.write_text('date,"osaka, rice",b\n' + "\n".join(rows) + "\n", encoding="utf-8")
+        assert run_cli("ingest", "-i", str(p), "-o", str(tmp_path)) == 0
+        assert run_cli("stats", "--returns", str(tmp_path / "returns.csv"),
+                       "-o", str(tmp_path)) == 0
+        rows = list(csv.reader(io.StringIO((tmp_path / "stats.csv").read_text(encoding="utf-8"))))
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert [r[0] for r in rows] == ["series", "osaka, rice", "b"]
+
+    def test_synth_true_zeta_csv(self, tmp_path):
+        p_zeta = tmp_path / "true_zeta.csv"
+        assert run_cli("synth", "--kind", "randomwalk-tv", "--T", "80", "--n", "2",
+                       "--seed", "4", "--out", str(tmp_path / "p.csv"),
+                       "--true-zeta", str(p_zeta)) == 0
+        returns, path = gen_returns(ScenarioSpec(kind="randomwalk-tv", T=80, n=2, seed=4))
+        header, *rows = csv.reader(io.StringIO(p_zeta.read_text(encoding="utf-8")))
+        assert header == ["date", "zeta"]
+        assert [r[0] for r in rows] == [str(d) for d in returns.dates]
+        np.testing.assert_array_equal([float(r[1]) for r in rows], true_zeta_path(path))
+
+    def test_tvvar_coef_out_csv(self, tmp_path):
+        X, _ = gen_returns(ScenarioSpec(kind="sinusoidal-tv", T=60, n=2, sigma_eps=0.02,
+                                        seed=2, period=30.0))
+        p_ret, p_coef = tmp_path / "returns.csv", tmp_path / "coef.csv"
+        write_returns_csv(p_ret, X)
+        assert run_cli("tvvar", "--returns", str(p_ret), "--q", "2", "--coef-out", str(p_coef),
+                       "-o", str(tmp_path / "out")) == 0
+        fit = solve_tvvar(read_returns_csv(p_ret), q=2, lam=1.0)
+        header, *rows = csv.reader(io.StringIO(p_coef.read_text(encoding="utf-8")))
+        assert header == ["date", "lag", "equation", "regressor", "value"]
+        assert len(rows) == fit.nobs * 2 * 2 * 2
+        assert rows[1][:4] == [str(fit.dates[0]), "1", "x1", "x2"]
+        values = np.array([float(r[4]) for r in rows]).reshape(fit.A_path.shape)
+        np.testing.assert_array_equal(values, fit.A_path)
 
     def test_synth_ingest_round_trip(self, tmp_path):
         prices = tmp_path / "p.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tveff.errors import DataError
+from tveff.pipeline import stats_stage
 from tveff.series import (
     CsvSchema,
     PriceSeries,
@@ -212,14 +213,14 @@ class TestDescriptiveStats:
         )
         assert descriptive_stats(r).sd[0] == 0.0
 
-    def test_table_shape_column_order(self):
-        # rendering follows Mean, SD, Max, Min order with N
+    def test_table_shape_column_order(self, tmp_path):
+        # the stats artifact follows Mean, SD, Max, Min order with N
         r = ReturnMatrix(
             dates=np.datetime64("2020-01-01") + np.arange(3),
             values=np.array([[1.0], [2.0], [3.0]]), labels=("a",),
         )
-        csv_text = descriptive_stats(r).to_csv()
-        assert csv_text.splitlines()[0] == "series,mean,sd,max,min,n"
+        _, (p_csv, _) = stats_stage(tmp_path, r)
+        assert p_csv.read_text(encoding="utf-8").splitlines()[0] == "series,mean,sd,max,min,n"
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(3)
