@@ -10,7 +10,8 @@ input artifact and calls the same ``tveff.pipeline`` stage function as
 ``--q`` left out selects the VAR order by the Schwarz criterion, which
 reproduces the single-shot choice exactly.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error or a file that cannot be
+read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         inner = exc.original
         return EXIT_NUMERICAL if isinstance(inner, NumericalError) else EXIT_DATA
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .series import ReturnMatrix
+from .series import ReturnMatrix, _coerce_values, _parse_date
 from .tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path, zeta_from_coefficient_stack
 
 __all__ = [
@@ -155,16 +155,7 @@ def bootstrap_bands(
         )
     k_lo, k_hi = spec.band_order_statistics()
 
-    if isinstance(X, ReturnMatrix):
-        values = X.values
-    else:
-        values = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        X = ReturnMatrix(
-            dates=np.datetime64("2000-01-03") + np.arange(values.shape[0]),
-            values=values,
-            labels=tuple(f"x{j + 1}" for j in range(values.shape[1])),
-        )
-
+    values, _, _ = _coerce_values(X)
     if path is None:
         path = tv_efficiency_path(solve_tvvar(X, q=spec.q, lam=spec.lam))
     elif len(path) != values.shape[0] - spec.q:
@@ -256,11 +247,10 @@ def regime_volatility(path: EfficiencyPath, breakpoints: list) -> RegimeSummary:
     """
     dates = np.asarray(path.dates)
     if dates.dtype.kind == "M":
-        bps = np.array([np.datetime64(b, "D") for b in breakpoints], dtype="datetime64[D]")
+        bps = np.array([_parse_date(str(b)) for b in breakpoints], dtype="datetime64[D]")
     else:
         bps = np.asarray(breakpoints, dtype=dates.dtype)
-    if bps.size and not (np.diff(bps) > np.timedelta64(0, "D") if bps.dtype.kind == "M"
-                         else np.diff(bps) > 0).all():
+    if not (np.diff(bps) > 0).all():
         raise DataError("breakpoints must be strictly increasing")
     for b in bps:
         if b < dates[0] or b > dates[-1]:

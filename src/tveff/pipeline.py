@@ -14,18 +14,21 @@ the same function on artifacts read back from disk.
 Every CSV artifact is written by :func:`_write_csv` under one cell rule,
 :func:`_cell`: floats in shortest round-trip form, empty for NaN, flags as
 ``true``/``false``, RFC 4180 quoting, ``\n`` line ends.  Artifacts read back
-exactly and re-runs compare byte-identically; JSON uses sorted keys and NaN as null.
+exactly, through the CSV reader and date parser of :mod:`tveff.series`, and
+re-runs compare byte-identically; JSON uses sorted keys and NaN as null.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -33,7 +36,8 @@ import scipy
 from . import __version__
 from .errors import DataError, NumericalError
 from .inference import BootstrapSpec, Segment, bootstrap_bands, classify_segments, regime_volatility
-from .series import CsvSchema, ReturnMatrix, StatsSummary, descriptive_stats, interpolate_missing, load_csv, log_returns
+from .series import (CsvSchema, ReturnMatrix, StatsSummary, _parse_date, _parse_rows, _read_csv,
+                     descriptive_stats, interpolate_missing, load_csv, log_returns)
 from .tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path
 from .unitroot import AdfGlsResult, adf_gls
 from .var import ConstancyTest, fit_var, hansen_lc, newey_west_cov, select_lag_sbic
@@ -62,14 +66,26 @@ class StageError(RuntimeError):
         self.original = original
 
 
+def _has_type(value, declared) -> bool:
+    """Whether ``value`` is of type ``declared``; an int is a float, a bool is neither."""
+    if get_origin(declared) is UnionType:
+        return any(_has_type(value, t) for t in get_args(declared))
+    if get_origin(declared) is list:
+        return isinstance(value, list) and all(_has_type(v, *get_args(declared)) for v in value)
+    if declared in (int, float):
+        return isinstance(value, {int: Integral, float: Real}[declared]) and not isinstance(value, bool)
+    return isinstance(value, declared)
+
+
 @dataclass
 class PipelineConfig:
     """Resolved settings for one pipeline run.
 
     ``q=None`` selects the VAR order by the Schwarz criterion up to
     ``q_max``.  Breakpoints are ISO dates defining regime boundaries for
-    the volatility summary.  The bootstrap settings are checked here, so
-    a bad combination fails before any stage runs.
+    the volatility summary.  Each value's type (an int passes as a
+    float), the breakpoint dates and the bootstrap settings are checked
+    here, so a bad config fails before any stage runs.
     """
 
     input_path: str
@@ -91,6 +107,16 @@ class PipelineConfig:
     breakpoints: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        hints = get_type_hints(PipelineConfig)
+        for f in fields(self):  # f.type: the annotation as written
+            value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise DataError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+        try:
+            for b in self.breakpoints:
+                _parse_date(b)
+        except ValueError as exc:
+            raise DataError(f"config key 'breakpoints': {exc}") from exc
         if self.unitroot_model not in ("constant", "trend"):
             raise DataError("unitroot_model must be 'constant' or 'trend'")
         if self.q is not None and self.q < 1:
@@ -177,7 +203,7 @@ def _jsonable(x):
     if isinstance(x, np.datetime64):
         return str(x)
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()] if x.dtype.kind in "Mm" else _jsonable(x.tolist())
+        return x.astype(str).tolist() if x.dtype.kind in "Mm" else _jsonable(x.tolist())
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -200,45 +226,12 @@ def _read_json(path: Path):
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
-    """Header and the non-blank rows, with their line numbers, of an artifact CSV."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    return header, [(reader.line_num, rec) for rec in reader if rec]
-
-
-def _parse_rows(path: Path, header: list[str], rows: list[tuple[int, list[str]]], parse) -> list:
-    """``parse`` of each row; a ragged or unparsable row is a DataError naming its line."""
-    out = []
-    for line, rec in rows:
-        if len(rec) != len(header):
-            raise DataError(f"{path}: line {line}: {len(rec)} cells, header has {len(header)}")
-        try:
-            out.append(parse(rec))
-        except ValueError as exc:
-            raise DataError(f"{path}: line {line}: {exc}") from exc
-    if not out:
-        raise DataError(f"{path}: no data rows")
-    return out
-
-
 def _read_table(path: Path, header: list[str], parse) -> list:
     """Parsed rows of an artifact CSV that must carry exactly ``header``."""
     found, rows = _read_csv(path)
     if found != header:
         raise DataError(f"{path}: header is not {','.join(header)}")
     return _parse_rows(path, header, rows, parse)
-
-
-def _day(cell: str) -> np.datetime64:
-    day = np.datetime64(cell, "D")
-    if np.isnat(day):
-        raise ValueError(f"invalid date {cell!r}")
-    return day
 
 
 def _num(cell: str) -> float:
@@ -256,12 +249,8 @@ def read_returns_csv(path: str | Path) -> ReturnMatrix:
     if not header or header[0] != "date":
         raise DataError(f"{path}: expected a returns CSV with a 'date' first column")
     dates, values = zip(*_parse_rows(path, header, rows,
-                                     lambda rec: (_day(rec[0]), [float(v) for v in rec[1:]])))
-    return ReturnMatrix(
-        dates=np.array(dates, dtype="datetime64[D]"),
-        values=np.asarray(values, dtype=np.float64),
-        labels=tuple(header[1:]),
-    )
+                                     lambda rec: (_parse_date(rec[0]), [float(v) for v in rec[1:]])))
+    return ReturnMatrix(dates=dates, values=values, labels=tuple(header[1:]))
 
 
 _ZETA_HEADER = ["date", "zeta", "lower", "upper", "efficient_flag"]
@@ -278,7 +267,7 @@ def write_zeta_csv(path: Path, ep: EfficiencyPath) -> None:
 def read_zeta_csv(path: str | Path) -> EfficiencyPath:
     path = Path(path)
     dates, zeta, lower, upper, flags = zip(*_read_table(
-        path, _ZETA_HEADER, lambda rec: (_day(rec[0]), *[_num(v) for v in rec[1:4]], rec[4])))
+        path, _ZETA_HEADER, lambda rec: (_parse_date(rec[0]), *[_num(v) for v in rec[1:4]], rec[4])))
     zeta_arr = np.asarray(zeta)
     ep = EfficiencyPath(
         dates=np.array(dates, dtype="datetime64[D]"),
@@ -422,7 +411,7 @@ def bootstrap_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q:
     p_csv, p_json = out / "zeta_path.csv", out / "zeta_path.json"
     write_zeta_csv(p_csv, ep)
     _write_json(p_json, {
-        "dates": [str(d) for d in ep.dates],
+        "dates": ep.dates,
         "zeta": ep.zeta,
         "lower": ep.band_lower,
         "upper": ep.band_upper,
@@ -520,10 +509,44 @@ def _svg_chart(ep: EfficiencyPath, width: int = 800, height: int = 400, margin: 
 # report rendering
 
 
-def _fmt4(x: float) -> str:
-    if not np.isfinite(x):
+def _fmt4(x: float | None) -> str:
+    if x is None or not np.isfinite(x):
         return "--"
     return f"{x:.4f}"
+
+
+def _table1_lines(data: dict) -> list[str]:
+    """Descriptive statistics and unit-root tests from ``table1.json``."""
+    wl = max(8, max(len(r["series"]) for r in data["columns"]) + 2)
+    lines = ["Descriptive statistics and unit root tests", "-" * 60,
+             f"{'':{wl}s}{'Mean':>10s}{'SD':>10s}{'Max':>10s}{'Min':>10s}"
+             f"{'ADF-GLS':>10s}{'Lags':>6s}{'phi':>9s}{'N':>7s}"]
+    for r in data["columns"]:
+        lines.append(
+            f"{r['series']:<{wl}s}{_fmt4(r['mean']):>10s}{_fmt4(r['sd']):>10s}"
+            f"{_fmt4(r['max']):>10s}{_fmt4(r['min']):>10s}"
+            f"{_fmt4(r['adf_gls']):>10s}{r['lags']:>6d}{_fmt4(r['phi_hat']):>9s}{r['n']:>7d}"
+        )
+    cv = data["critical_values"]["1%"]
+    return [*lines, f"  (model: {data['model']}; 1% critical value {_fmt4(cv)})", ""]
+
+
+def _table2_lines(data: dict) -> list[str]:
+    """The time-invariant VAR and the Lc test from ``table2.json``."""
+    labels = data["labels"]
+    wt = max(10, max(len(t) for t in data["terms"]) + 2)
+    wc = max(12, max(len(lab) for lab in labels) + 2)
+    lines = [f"Time-invariant VAR({data['q']}) estimates", "-" * 60,
+             f"{'':{wt}s}" + "".join(f"{lab:>{wc}s}" for lab in labels)]
+    for term, coefs, ses in zip(data["terms"], data["coefficients"], data["standard_errors"],
+                                strict=True):
+        lines.append(f"{term:<{wt}s}" + "".join(f"{_fmt4(c):>{wc}s}" for c in coefs))
+        lines.append(f"{'':{wt}s}" + "".join(f"{'[' + _fmt4(s) + ']':>{wc}s}" for s in ses))
+    lines.append(f"{'adj R2':<{wt}s}" + "".join(f"{_fmt4(v):>{wc}s}" for v in data["adj_r2"]))
+    lines.append(f"{'Lc':<{wt}s}{_fmt4(data['lc_statistic']):>{wc}s}   "
+                 f"(dof {data['lc_dof']}, 5% cv {_fmt4(data['lc_critical_values']['5%'])}, "
+                 f"reject={data['lc_reject']})")
+    return [*lines, ""]
 
 
 def emit_report(artifact_dir: str | Path) -> str:
@@ -532,76 +555,40 @@ def emit_report(artifact_dir: str | Path) -> str:
 
     lines: list[str] = ["Market efficiency analysis", "=" * 60, ""]
 
-    t1 = out / "table1.json"
-    if t1.exists():
-        data = _read_json(t1)
-        lines.append("Descriptive statistics and unit root tests")
-        lines.append("-" * 60)
-        wl = max(8, max(len(r["series"]) for r in data["columns"]) + 2)
-        lines.append(f"{'':{wl}s}{'Mean':>10s}{'SD':>10s}{'Max':>10s}{'Min':>10s}"
-                     f"{'ADF-GLS':>10s}{'Lags':>6s}{'phi':>9s}{'N':>7s}")
-        for r in data["columns"]:
-            lines.append(
-                f"{r['series']:<{wl}s}{_fmt4(r['mean']):>10s}{_fmt4(r['sd']):>10s}"
-                f"{_fmt4(r['max']):>10s}{_fmt4(r['min']):>10s}"
-                f"{_fmt4(r['adf_gls']):>10s}{r['lags']:>6d}{_fmt4(r['phi_hat']):>9s}{r['n']:>7d}"
-            )
-        cv = data["critical_values"]["1%"]
-        lines.append(f"  (model: {data['model']}; 1% critical value {_fmt4(cv)})")
-        lines.append("")
+    for name, render in (("table1.json", _table1_lines), ("table2.json", _table2_lines)):
+        p = out / name
+        if p.exists():
+            data = _read_json(p)
+            try:
+                lines.extend(render(data))
+            except (LookupError, TypeError, ValueError) as exc:
+                raise DataError(f"{p}: missing or malformed field: {exc!r}") from exc
 
-    t2 = out / "table2.json"
-    if t2.exists():
-        data = _read_json(t2)
-        labels = data["labels"]
-        lines.append(f"Time-invariant VAR({data['q']}) estimates")
-        lines.append("-" * 60)
-        wt = max(10, max(len(t) for t in data["terms"]) + 2)
-        wc = max(12, max(len(lab) for lab in labels) + 2)
-        lines.append(f"{'':{wt}s}" + "".join(f"{lab:>{wc}s}" for lab in labels))
-        for i, term in enumerate(data["terms"]):
-            coefs = data["coefficients"][i]
-            ses = data["standard_errors"][i]
-            lines.append(f"{term:<{wt}s}" + "".join(f"{_fmt4(c):>{wc}s}" for c in coefs))
-            lines.append(f"{'':{wt}s}" + "".join(f"{'[' + _fmt4(s) + ']':>{wc}s}" for s in ses))
-        lines.append(f"{'adj R2':<{wt}s}" + "".join(f"{_fmt4(v):>{wc}s}" for v in data["adj_r2"]))
-        lines.append(f"{'Lc':<{wt}s}{_fmt4(data['lc_statistic']):>{wc}s}   "
-                     f"(dof {data['lc_dof']}, 5% cv {_fmt4(data['lc_critical_values']['5%'])}, "
-                     f"reject={data['lc_reject']})")
-        lines.append("")
-
+    lines += ["Time-varying efficiency degree", "-" * 60]
     zp = out / "zeta_path.csv"
-    if zp.exists():
-        ep = read_zeta_csv(zp)
-        finite = ep.zeta[np.isfinite(ep.zeta)]
-        lines.append("Time-varying efficiency degree")
-        lines.append("-" * 60)
-        if finite.size:
-            lines.append(f"{'min zeta':<20s}{_fmt4(float(finite.min())):>12s}")
-            lines.append(f"{'max zeta':<20s}{_fmt4(float(finite.max())):>12s}")
-        if ep.efficient_flag is not None:
-            share = float(np.mean(ep.efficient_flag))
-            lines.append(f"{'share efficient':<20s}{_fmt4(share):>12s}")
-        reg = out / "regimes.csv"
-        if reg.exists():
-            lines.append("")
-            lines.append("Regime volatility of the efficiency degree")
-            lines.append(f"{'regime':<8s}{'start':<14s}{'end':<14s}{'SD':>10s}{'eff. share':>12s}")
-            for regime, start, end, sd, share in _read_table(
-                    reg, _REGIME_HEADER, lambda rec: (*rec[:3], _num(rec[3]), _num(rec[4]))):
-                lines.append(f"{regime:<8s}{start:<14s}{end:<14s}"
-                             f"{_fmt4(sd):>10s}{_fmt4(share):>12s}")
-        seg = out / "segments.csv"
-        if seg.exists():
-            lines.append("")
-            lines.append("Efficiency segments")
-            for start, end, label, mz in _read_table(
-                    seg, _SEGMENT_HEADER, lambda rec: (*rec[:3], _num(rec[3]))):
-                lines.append(f"  {start} .. {end}  {label:<12s} mean zeta {_fmt4(mz)}")
-    else:
-        lines.append("Time-varying efficiency degree")
-        lines.append("-" * 60)
-        lines.append("no TV-VAR run")
+    if not zp.exists():
+        return "\n".join([*lines, "no TV-VAR run", ""])
+    ep = read_zeta_csv(zp)
+    finite = ep.zeta[np.isfinite(ep.zeta)]
+    if finite.size:
+        lines.append(f"{'min zeta':<20s}{_fmt4(float(finite.min())):>12s}")
+        lines.append(f"{'max zeta':<20s}{_fmt4(float(finite.max())):>12s}")
+    if ep.efficient_flag is not None:
+        share = float(np.mean(ep.efficient_flag))
+        lines.append(f"{'share efficient':<20s}{_fmt4(share):>12s}")
+    reg = out / "regimes.csv"
+    if reg.exists():
+        lines += ["", "Regime volatility of the efficiency degree",
+                  f"{'regime':<8s}{'start':<14s}{'end':<14s}{'SD':>10s}{'eff. share':>12s}"]
+        for regime, start, end, sd, share in _read_table(
+                reg, _REGIME_HEADER, lambda rec: (*rec[:3], _num(rec[3]), _num(rec[4]))):
+            lines.append(f"{regime:<8s}{start:<14s}{end:<14s}{_fmt4(sd):>10s}{_fmt4(share):>12s}")
+    seg = out / "segments.csv"
+    if seg.exists():
+        lines += ["", "Efficiency segments"]
+        for start, end, label, mz in _read_table(
+                seg, _SEGMENT_HEADER, lambda rec: (*rec[:3], _num(rec[3]))):
+            lines.append(f"  {start} .. {end}  {label:<12s} mean zeta {_fmt4(mz)}")
     lines.append("")
     return "\n".join(lines)
 

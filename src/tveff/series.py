@@ -1,6 +1,11 @@
-"""Price ingestion, gap repair, log returns and descriptive statistics.
+"""Input: price and artifact CSVs, return arrays; gap repair, log returns, statistics.
 
-CSV input expects a header row with one date column (ISO-8601 by default)
+Every CSV is read by one reader and one date parser, so a ragged row or a
+bad cell is a ``DataError`` that names the file and line.  Every return
+array passes one rule, :func:`_coerce_values`: a :class:`ReturnMatrix` as
+it is, an array as ``x1..xn`` with no dates, a non-finite value rejected.
+
+A price CSV has a header row with one date column (ISO-8601 by default)
 and one or more price columns.  Empty, unparseable or NaN price cells
 are treated as missing and later filled by natural cubic spline interpolation
 over the integer observation index; trading-day spacing, not calendar
@@ -82,6 +87,14 @@ class PriceSeries:
         return self.prices.shape[0]
 
 
+def _return_values(values) -> np.ndarray:
+    """``values`` as a 2-D float64 matrix; a non-finite entry is a DataError."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    if not np.isfinite(values).all():
+        raise DataError("returns contain non-finite values")
+    return values
+
+
 @dataclass
 class ReturnMatrix:
     """Log returns aligned to the later of each observation pair."""
@@ -92,11 +105,9 @@ class ReturnMatrix:
 
     def __post_init__(self) -> None:
         self.dates = np.asarray(self.dates, dtype="datetime64[D]")
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
+        self.values = _return_values(self.values)
         if self.values.shape[0] != self.dates.shape[0]:
             raise DataError("dates and values lengths differ")
-        if not np.isfinite(self.values).all():
-            raise DataError("returns contain non-finite values")
 
     @property
     def n_columns(self) -> int:
@@ -118,90 +129,125 @@ class StatsSummary:
     count: int
 
 
-def _parse_date(raw: str, fmt: str, row: int) -> np.datetime64:
+def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """Header and the non-blank rows, with their line numbers, of a CSV file."""
+    try:  # streamed, not copied whole into memory
+        with path.open(encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            return header, [(reader.line_num, rec) for rec in reader if rec]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_rows(path: Path, header: list[str], rows: list[tuple[int, list[str]]], parse) -> list:
+    """``parse`` of each row; a ragged or unparsable row is a DataError naming its line."""
+    out = []
+    for line, rec in rows:
+        if len(rec) != len(header):
+            raise DataError(f"{path}: line {line}: {len(rec)} cells, header has {len(header)}")
+        try:
+            out.append(parse(rec))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line}: {exc}") from exc
+    if not out:
+        raise DataError(f"{path}: no data rows")
+    return out
+
+
+def _parse_date(cell: str, fmt: str = "%Y-%m-%d") -> np.datetime64:
+    """One date cell; ``ValueError`` when it does not match ``fmt``."""
     try:
         if fmt == "%Y-%m-%d":
-            parsed = date.fromisoformat(raw.strip())
+            parsed = date.fromisoformat(cell.strip())
         else:
-            parsed = datetime.strptime(raw.strip(), fmt).date()
+            parsed = datetime.strptime(cell.strip(), fmt).date()
     except ValueError as exc:
-        raise DataError(f"row {row}: unparseable date {raw!r}") from exc
+        raise ValueError(f"unparseable date {cell!r}") from exc
     return np.datetime64(parsed, "D")
+
+
+def _parse_price(cell: str, column: str) -> float:
+    """One price cell: NaN when empty, unparseable or NaN; only positive finite values pass."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return math.nan
+    if math.isinf(value):
+        raise ValueError(f"infinite price {value!r} in column {column!r}")
+    if value <= 0:
+        raise ValueError(f"non-positive price {value!r} in column {column!r}")
+    return value
 
 
 def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
     """Read a dated price CSV into a :class:`PriceSeries`.
 
     Rows are sorted by date.  Empty, unparseable or NaN price cells
-    become missing entries; an infinite, zero or negative price is
-    rejected with its row number and column.  Duplicate dates are
-    rejected.
+    become missing entries.  A row whose cell count differs from the
+    header's, an unparseable date, and an infinite, zero or negative
+    price are rejected with the file name and line number (the column
+    too, for a price); so are duplicate dates.
     """
     schema = schema or CsvSchema()
     path = Path(path)
-    try:
-        handle = path.open("r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    header, rows = _read_csv(path)
+    if header is None:
+        raise DataError(f"{path}: empty file (header row required)")
+    fields = [f.strip() for f in header]
+    if schema.date_column not in fields:
+        raise DataError(f"{path}: date column {schema.date_column!r} not found")
+    if schema.price_columns is None:
+        price_cols = tuple(f for f in fields if f != schema.date_column)
+    else:
+        missing_cols = [c for c in schema.price_columns if c not in fields]
+        if missing_cols:
+            raise DataError(f"{path}: price columns not found: {missing_cols}")
+        price_cols = tuple(schema.price_columns)
+    if not price_cols:
+        raise DataError(f"{path}: no price columns")
+    at_date = fields.index(schema.date_column)
+    at_price = [fields.index(c) for c in price_cols]
 
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file (header row required)")
-        fields = [f.strip() for f in reader.fieldnames]
-        if schema.date_column not in fields:
-            raise DataError(f"{path}: date column {schema.date_column!r} not found")
-        if schema.price_columns is None:
-            price_cols = tuple(f for f in fields if f != schema.date_column)
-        else:
-            missing_cols = [c for c in schema.price_columns if c not in fields]
-            if missing_cols:
-                raise DataError(f"{path}: price columns not found: {missing_cols}")
-            price_cols = tuple(schema.price_columns)
-        if not price_cols:
-            raise DataError(f"{path}: no price columns")
+    def parse(rec: list[str]) -> tuple[np.datetime64, list[float]]:
+        return (_parse_date(rec[at_date], schema.date_format),
+                [_parse_price(rec[j], fields[j]) for j in at_price])
 
-        dates: list[np.datetime64] = []
-        rows: list[list[float]] = []
-        mask_rows: list[list[bool]] = []
-        for i, record in enumerate(reader, start=2):  # header is line 1
-            record = {(k.strip() if k else k): v for k, v in record.items()}
-            dates.append(_parse_date(record[schema.date_column] or "", schema.date_format, i))
-            vals: list[float] = []
-            miss: list[bool] = []
-            for col in price_cols:
-                try:
-                    value = float((record.get(col) or "").strip())
-                except ValueError:  # empty or unparseable
-                    value = np.nan
-                if math.isnan(value):
-                    vals.append(np.nan)
-                    miss.append(True)
-                    continue
-                if math.isinf(value):
-                    raise DataError(f"row {i}: infinite price {value!r} in column {col!r}")
-                if value <= 0:
-                    raise DataError(f"row {i}: non-positive price {value!r} in column {col!r}")
-                vals.append(value)
-                miss.append(False)
-            rows.append(vals)
-            mask_rows.append(miss)
-
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
+    dates, prices = zip(*_parse_rows(path, header, rows, parse))
     date_arr = np.array(dates, dtype="datetime64[D]")
     uniq, counts = np.unique(date_arr, return_counts=True)
     if (counts > 1).any():
-        dup = uniq[counts > 1][0]
-        raise DataError(f"duplicate date {dup}")
+        raise DataError(f"{path}: duplicate date {uniq[counts > 1][0]}")
     order = np.argsort(date_arr, kind="stable")
+    price_arr = np.asarray(prices, dtype=np.float64)[order]
     return PriceSeries(
         dates=date_arr[order],
-        prices=np.asarray(rows, dtype=np.float64)[order],
-        missing_mask=np.asarray(mask_rows, dtype=bool)[order],
+        prices=price_arr,
+        missing_mask=np.isnan(price_arr),
         labels=price_cols,
     )
+
+
+def _coerce_values(X: ReturnMatrix | np.ndarray) -> tuple[np.ndarray, tuple[str, ...], np.ndarray | None]:
+    """Values, labels and dates of a return input: the one rule for array input.
+
+    A :class:`ReturnMatrix` passes through unchanged.  An array becomes a
+    2-D float64 matrix labelled ``x1..xn`` with no dates; a non-finite
+    value is rejected as :class:`ReturnMatrix` rejects it.
+    """
+    if isinstance(X, ReturnMatrix):
+        return X.values, X.labels, X.dates
+    values = _return_values(X)
+    return values, tuple(f"x{j + 1}" for j in range(values.shape[1])), None
+
+
+def _lagged(values: np.ndarray, q: int, t_start: int) -> np.ndarray:
+    """Lagged regressors (x'_{t-1}, ..., x'_{t-q}) of rows t >= t_start, shape (T - t_start, n*q)."""
+    T, n = values.shape
+    Z = np.empty((T - t_start, n * q))
+    for l in range(1, q + 1):
+        Z[:, (l - 1) * n: l * n] = values[t_start - l: T - l]
+    return Z
 
 
 def interpolate_missing(s: PriceSeries) -> PriceSeries:
@@ -212,10 +258,6 @@ def interpolate_missing(s: PriceSeries) -> PriceSeries:
     support points are required per column.  Non-missing cells are
     returned unchanged bit-for-bit.
     """
-    if not s.missing_mask.any():
-        return PriceSeries(s.dates.copy(), s.prices.copy(),
-                           np.zeros_like(s.missing_mask), s.labels)
-
     filled = s.prices.copy()
     idx = np.arange(len(s), dtype=np.float64)
     for j in range(s.n_columns):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .series import ReturnMatrix
+from .series import ReturnMatrix, _coerce_values
 from .tvvar import zeta_from_coefficient_stack
 
 __all__ = ["ScenarioSpec", "gen_returns", "true_zeta_path", "SCENARIO_KINDS"]
@@ -142,10 +142,8 @@ def gen_returns(spec: ScenarioSpec) -> tuple[ReturnMatrix, np.ndarray]:
             acc += A_t[l] @ x[t + q - 1 - l]
         x[t + q] = acc
 
-    values = x[q + BURN_IN:]
-    dates = _BASE_DATE + np.arange(T)
-    labels = tuple(f"x{j + 1}" for j in range(n))
-    return ReturnMatrix(dates=dates, values=values, labels=labels), path
+    values, labels, _ = _coerce_values(x[q + BURN_IN:])
+    return ReturnMatrix(dates=_BASE_DATE + np.arange(T), values=values, labels=labels), path
 
 
 def true_zeta_path(path: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import DataError, NumericalError
-from .series import ReturnMatrix
+from .series import ReturnMatrix, _coerce_values, _lagged
 
 __all__ = [
     "StackedSystem",
@@ -83,6 +83,8 @@ class StackedSystem:
     lam: float
     regressors: np.ndarray = field(repr=False)  # (m, k)
     targets: np.ndarray = field(repr=False)  # (m, n)
+    labels: tuple[str, ...] = field(repr=False)
+    dates: np.ndarray | None = field(repr=False)  # (m,) datetime64 of the targets, or None
 
     def dense(self, equation: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the full bordered normal matrix and one equation's rhs.
@@ -178,20 +180,13 @@ class EfficiencyPath:
         )
 
 
-def _coerce_values(X: ReturnMatrix | np.ndarray) -> tuple[np.ndarray, tuple[str, ...], np.ndarray | None]:
-    if isinstance(X, ReturnMatrix):
-        return X.values, X.labels, X.dates
-    values = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return values, tuple(f"x{j + 1}" for j in range(values.shape[1])), None
-
-
 def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> StackedSystem:
     """Assemble the penalized normal equations for every equation at once.
 
     The regressors are shared across equations, so a single band and
     border serve all right-hand sides.
     """
-    values, _, _ = _coerce_values(X)
+    values, labels, dates = _coerce_values(X)
     T, n = values.shape
     if q < 1:
         raise DataError("q must be >= 1")
@@ -202,9 +197,7 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
         raise DataError(f"need at least q+2 observations, got T={T}")
     k = n * q
 
-    Z = np.empty((m, k))
-    for l in range(1, q + 1):
-        Z[:, (l - 1) * n: l * n] = values[q - l: T - l]
+    Z = _lagged(values, q, q)
     Y = values[q:]
 
     lam2 = lam * lam
@@ -238,6 +231,8 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
         lam=lam,
         regressors=Z,
         targets=Y,
+        labels=labels,
+        dates=None if dates is None else dates[q:].copy(),
     )
 
 
@@ -247,14 +242,11 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     Output is deterministic: identical inputs give bit-identical paths
     regardless of caller threading.
     """
-    values, labels, dates = _coerce_values(X)
-    T, n = values.shape
-    if T - q < 5 * n * q:
-        raise DataError(
-            f"sample too short for TV-VAR: T-q={T - q} < 5*n*q={5 * n * q}"
-        )
-    system = build_stacked_system(values, q, lam)
+    system = build_stacked_system(X, q, lam)
     m, k = system.m, system.k
+    n = system.targets.shape[1]
+    if m < 5 * k:
+        raise DataError(f"sample too short for TV-VAR: T-q={m} < 5*n*q={5 * k}")
 
     try:
         factor = cholesky_banded(system.band, lower=True)
@@ -289,8 +281,8 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
         A_path=A_path,
         lam=lam,
         residuals=residuals,
-        labels=labels,
-        dates=None if dates is None else dates[q:].copy(),
+        labels=system.labels,
+        dates=system.dates,
         diagnostics={"condition_estimate": cond_est},
     )
 

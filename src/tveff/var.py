@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DataError, NumericalError
-from .series import ReturnMatrix
+from .series import ReturnMatrix, _coerce_values, _lagged
 from .tvvar import _COND_LIMIT, zeta_from_coefficient_stack
 
 __all__ = [
@@ -99,17 +99,6 @@ class HacCovariance:
     bandwidth: int
 
 
-def _lag_design(X: np.ndarray, q: int, t_start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Regressor matrix (1, x'_{t-1}, ..., x'_{t-q}) and targets for rows t >= t_start."""
-    T, n = X.shape
-    rows = T - t_start
-    W = np.empty((rows, 1 + n * q))
-    W[:, 0] = 1.0
-    for l in range(1, q + 1):
-        W[:, 1 + (l - 1) * n: 1 + l * n] = X[t_start - l: T - l]
-    return W, X[t_start:]
-
-
 def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
     """Schwarz-criterion VAR order over a common estimation sample.
 
@@ -121,7 +110,7 @@ def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
     Only slope parameters are penalized; intercept and covariance terms
     are constant across q and cancel from the argmin.
     """
-    values = X.values if isinstance(X, ReturnMatrix) else np.asarray(X, dtype=np.float64)
+    values, _, _ = _coerce_values(X)
     T, n = values.shape
     if q_max < 1:
         raise DataError("q_max must be >= 1")
@@ -129,9 +118,10 @@ def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
     if t_star < 10 * (1 + n * q_max):
         raise DataError(f"sample too short for q_max={q_max} (T*={t_star})")
 
+    Y = values[q_max:]
     best_q, best_crit = 1, np.inf
     for q in range(1, q_max + 1):
-        W, Y = _lag_design(values, q, q_max)
+        W = np.column_stack([np.ones(t_star), _lagged(values, q, q_max)])
         coef, *_ = np.linalg.lstsq(W, Y, rcond=None)
         resid = Y - W @ coef
         sigma = resid.T @ resid / t_star
@@ -150,11 +140,7 @@ def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
     Identical regressors make per-equation least squares equal to the
     joint system estimate.
     """
-    if isinstance(X, ReturnMatrix):
-        values, labels = X.values, X.labels
-    else:
-        values = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        labels = tuple(f"x{j + 1}" for j in range(values.shape[1]))
+    values, labels, _ = _coerce_values(X)
     T, n = values.shape
     if q < 1:
         raise DataError("q must be >= 1")
@@ -162,7 +148,8 @@ def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
     if T <= q + p:
         raise DataError(f"T={T} too small for VAR({q}) with {n} series")
 
-    W, Y = _lag_design(values, q, q)
+    W = np.column_stack([np.ones(T - q), _lagged(values, q, q)])  # (1, x'_{t-1}, ..., x'_{t-q})
+    Y = values[q:]
     # identically-zero regressor columns get zero coefficients; any other
     # rank deficiency is a genuine collinearity problem
     active = np.any(W != 0.0, axis=0)

@@ -111,11 +111,13 @@ class TestBootstrapBands:
     def test_given_path_gets_the_same_bands(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=7))
         spec = BootstrapSpec(replications=120, coverage=0.9, seed=3, q=2)
-        own = bootstrap_bands(X, spec, pretested=True)
-        path = tv_efficiency_path(solve_tvvar(X, q=2, lam=spec.lam))
-        given = bootstrap_bands(X, spec, pretested=True, path=path)
-        for name in ("zeta", "band_lower", "band_upper", "efficient_flag"):
-            assert np.array_equal(getattr(given, name), getattr(own, name))
+        for data in (X, X.values):  # an array's path is dated by position on both routes
+            own = bootstrap_bands(data, spec, pretested=True)
+            path = tv_efficiency_path(solve_tvvar(data, q=2, lam=spec.lam))
+            given = bootstrap_bands(data, spec, pretested=True, path=path)
+            for name in ("dates", "zeta", "band_lower", "band_upper", "efficient_flag"):
+                assert np.array_equal(getattr(given, name), getattr(own, name)), name
+        np.testing.assert_array_equal(own.dates, np.arange(len(own)))
         with pytest.raises(DataError, match="periods"):
             bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, seed=3, q=1),
                             pretested=True, path=path)

@@ -18,6 +18,8 @@ from tveff.inference import classify_segments
 from tveff.pipeline import (
     PipelineConfig,
     StageError,
+    _write_dated_csv,
+    _write_json,
     emit_report,
     plot_data,
     read_returns_csv,
@@ -26,7 +28,7 @@ from tveff.pipeline import (
     write_returns_csv,
     write_zeta_csv,
 )
-from tveff.series import ReturnMatrix
+from tveff.series import ReturnMatrix, load_csv
 from tveff.synth import ScenarioSpec, gen_returns, true_zeta_path
 from tveff.tvvar import EfficiencyPath, solve_tvvar
 
@@ -129,6 +131,26 @@ class TestRoundTrips:
         assert back.labels == X.labels
         assert np.array_equal(back.dates, X.dates)
         assert back.values.tobytes() == X.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_price_csv_round_trip_property(self, tmp_path_factory, data):
+        # load_csv strips header cells and takes "date" as the date column
+        labels = st.lists(LABELS.map(str.strip).filter(lambda s: s and s != "date"),
+                          min_size=1, max_size=3, unique=True)
+        labels = tuple(data.draw(labels))
+        m = data.draw(st.integers(1, 12))
+        dates = np.array(sorted(data.draw(st.lists(st.dates(), min_size=m, max_size=m,
+                                                   unique=True))), dtype="datetime64[D]")
+        prices = data.draw(hnp.arrays(np.float64, (m, len(labels)), elements=st.floats(
+            min_value=0, exclude_min=True, allow_infinity=False) | st.just(np.nan)))
+        p = tmp_path_factory.mktemp("prices") / "p.csv"
+        _write_dated_csv(p, dates, prices, labels)
+        back = load_csv(p)
+        assert back.labels == labels
+        assert np.array_equal(back.dates, dates)
+        assert back.prices.tobytes() == prices.tobytes()
+        assert np.array_equal(back.missing_mask, np.isnan(prices))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -244,6 +266,11 @@ class TestPipeline:
         for i, rec in enumerate(rows):
             assert all(same_cell(c, path[keys.get(k, k)][i]) for k, c in zip(header, rec)), rec
 
+    def test_json_dates_are_iso_strings(self, tmp_path):
+        p = tmp_path / "d.json"
+        _write_json(p, {"dates": np.array(["2000-01-03", "1921-12-31"], dtype="datetime64[D]")})
+        assert json.loads(p.read_text()) == {"dates": ["2000-01-03", "1921-12-31"]}
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(DataError, match="unknown config keys"):
             PipelineConfig.from_dict({"input_path": "x", "output_dir": "y", "qq": 3})
@@ -356,7 +383,10 @@ class TestCli:
          "1,2000-01-02,2000-01-02,x,1.0,1\n", "line 2:"),
         ("table1.json", "{", "invalid JSON"),
         ("table2.json", "[1,", "invalid JSON"),
-    ], ids=["segments-ragged-row", "regimes-bad-number", "table1-bad-json", "table2-bad-json"])
+        ("table1.json", "{}", "KeyError('columns')"),
+        ("table2.json", "{}", "KeyError('labels')"),
+    ], ids=["segments-ragged-row", "regimes-bad-number", "table1-bad-json", "table2-bad-json",
+            "table1-no-keys", "table2-no-keys"])
     def test_malformed_report_artifact_exit_code_2(self, tmp_path, capsys, name, text, message):
         (tmp_path / "zeta_path.csv").write_text(
             "date,zeta,lower,upper,efficient_flag\n2000-01-02,0.3,0.0,1.0,true\n",
@@ -366,6 +396,21 @@ class TestCli:
         assert run_cli("report", "--artifacts", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert str(p) in err and message in err
+
+    def test_report_into_missing_directory_exit_code_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "r.txt"
+        assert run_cli("report", "--artifacts", str(tmp_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("row", ["2000-01-04,1.1", "2000-01-04,1.1,2.2,3.3"],
+                             ids=["short-row", "long-row"])
+    def test_ragged_price_row_exit_code_2(self, tmp_path, capsys, row):
+        p = tmp_path / "prices.csv"
+        p.write_text("date,a,b\n2000-01-03,1.0,2.0\n" + row + "\n2000-01-05,1.2,2.1\n",
+                     encoding="utf-8")
+        assert run_cli("ingest", "-i", str(p), "-o", str(tmp_path / "out")) == 2
+        assert f"{p}: line 3:" in capsys.readouterr().err
 
     def test_stats_csv_quotes_label_with_comma(self, tmp_path):
         rows = [f"2020-01-{d:02d},{100 + d},{50 + d * d}" for d in range(1, 9)]
@@ -469,6 +514,27 @@ class TestCli:
         assert run_cli("run", "--config", str(p)) == 2
         assert "too few replications" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("q", "2"), ("q", True), ("q_max", 8.0), ("lam", "1"), ("interpolate", 1),
+        ("breakpoints", "2000-01-05"), ("price_columns", ["a", 1]), ("input_path", 3),
+    ])
+    def test_config_value_type_fails_before_any_stage(self, tmp_path, capsys, key, value):
+        cfg = {"input_path": str(tmp_path / "prices.csv"),
+               "output_dir": str(tmp_path / "out"), "replications": 120, "coverage": 0.9,
+               key: value}
+        with pytest.raises(DataError, match=f"config key '{key}'"):
+            PipelineConfig.from_dict(cfg)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(p)) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_accepted_where_float_declared(self):
+        config = PipelineConfig.from_dict({"input_path": "p.csv", "output_dir": "out",
+                                           "lam": 2, "coverage": 0.9})
+        assert config.lam == 2
 
     def test_flag_overrides_beat_config(self, tmp_path):
         prices, _ = synth_prices(tmp_path, T=200, period=100.0)

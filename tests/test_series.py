@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from tveff.errors import DataError
+from tveff.inference import BootstrapSpec, bootstrap_bands
 from tveff.pipeline import stats_stage
 from tveff.series import (
     CsvSchema,
@@ -12,6 +15,8 @@ from tveff.series import (
     load_csv,
     log_returns,
 )
+from tveff.tvvar import solve_tvvar
+from tveff.var import fit_var, select_lag_sbic
 
 
 def write_csv(tmp_path, text, name="prices.csv"):
@@ -64,7 +69,7 @@ class TestLoadCsv:
     @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
     def test_infinite_price_rejected_with_row_and_column(self, tmp_path, cell):
         p = write_csv(tmp_path, f"date,a,b\n2020-01-01,100,5\n2020-01-02,101,{cell}\n")
-        with pytest.raises(DataError, match=r"row 3: infinite price .* column 'b'"):
+        with pytest.raises(DataError, match=re.escape(f"{p}: line 3: infinite price ") + ".* column 'b'"):
             load_csv(p)
 
     def test_duplicate_date_rejected_naming_it(self, tmp_path):
@@ -74,7 +79,14 @@ class TestLoadCsv:
 
     def test_negative_price_rejected_with_row(self, tmp_path):
         p = write_csv(tmp_path, "date,a\n2020-01-01,100\n2020-01-02,-5\n")
-        with pytest.raises(DataError, match="row 3"):
+        with pytest.raises(DataError, match=re.escape(f"{p}: line 3")):
+            load_csv(p)
+
+    @pytest.mark.parametrize("row", ["2020-01-02,101", "2020-01-02,101,6,7"],
+                             ids=["short-row", "long-row"])
+    def test_ragged_row_rejected_with_file_and_line(self, tmp_path, row):
+        p = write_csv(tmp_path, f"date,a,b\n2020-01-01,100,5\n{row}\n2020-01-03,102,7\n")
+        with pytest.raises(DataError, match=re.escape(f"{p}: line 3: ")):
             load_csv(p)
 
     def test_unsorted_rows_sorted_by_date(self, tmp_path):
@@ -241,3 +253,20 @@ class TestDescriptiveStats:
         st1 = descriptive_stats(ReturnMatrix(dates=dates, values=vals, labels=("a", "b")))
         st2 = descriptive_stats(ReturnMatrix(dates=dates, values=vals[:, ::-1], labels=("b", "a")))
         np.testing.assert_allclose(st1.mean, st2.mean[::-1])
+
+
+class TestArrayInput:
+    """Every public estimator takes an ndarray by the same rule as a ReturnMatrix."""
+
+    @pytest.mark.parametrize("call", [
+        lambda X: fit_var(X, 1),
+        lambda X: select_lag_sbic(X, 2),
+        lambda X: solve_tvvar(X, q=1, lam=1.0),
+        lambda X: bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, q=1),
+                                  pretested=True),
+    ], ids=["fit_var", "select_lag_sbic", "solve_tvvar", "bootstrap_bands"])
+    def test_nan_cell_is_a_data_error(self, call):
+        X = np.random.default_rng(5).normal(0, 0.01, size=(80, 2))
+        X[40, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            call(X)
