@@ -251,24 +251,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    coeff = None
+    # every ScenarioSpec field is the dest of the flag that sets it
+    fields = {name: getattr(args, name) for name in ScenarioSpec.__dataclass_fields__}
     if args.coeff is not None:
         try:
-            coeff = np.asarray(json.loads(args.coeff), dtype=np.float64)
+            fields["coeff"] = np.asarray(json.loads(args.coeff), dtype=np.float64)
         except (json.JSONDecodeError, ValueError) as exc:
             raise DataError(f"--coeff must be JSON matrices: {exc}") from exc
-    spec = ScenarioSpec(
-        kind=args.kind,
-        T=args.T,
-        n=args.n,
-        q=args.q,
-        sigma_eps=args.sigma_eps,
-        seed=args.seed,
-        coeff=coeff,
-        amplitude=args.amplitude,
-        period=args.period,
-        sigma_v=args.sigma_v,
-    )
+    spec = ScenarioSpec(**fields)
     returns, path = gen_returns(spec)
     # prices that reproduce the generated returns under the ingest step
     levels = 100.0 * np.exp(np.concatenate(

@@ -95,7 +95,6 @@ class Segment:
 class RegimeSummary:
     """Volatility of the efficiency degree inside breakpoint-defined regimes."""
 
-    breakpoints: list
     starts: list
     ends: list
     sd: np.ndarray  # sample SD of zeta per regime
@@ -119,8 +118,7 @@ def _null_zeta_paths(
         idx = rng.integers(0, T, size=T)
         pseudo = mean[None, :] + centered[idx]
         fit = solve_tvvar(pseudo, q=spec.q, lam=spec.lam)
-        zeta, _ = zeta_from_coefficient_stack(fit.A_path)
-        zstar[b] = zeta
+        zstar[b] = zeta_from_coefficient_stack(fit.A_path)
 
     if spec.workers == 1:
         for b in range(spec.replications):
@@ -173,63 +171,42 @@ def bootstrap_bands(
 def classify_segments(path: EfficiencyPath, min_run: int = 20) -> list[Segment]:
     """Maximal efficient/inefficient runs with short runs absorbed.
 
-    Runs shorter than ``min_run`` merge into the run on their left (the
-    first run, having no left neighbour, merges rightward); merged
-    neighbours coalesce and the scan restarts, so the result is
-    deterministic.  Flagged (NaN) periods count as not-efficient.
+    One left-to-right pass over the runs of ``efficient_flag``: a first
+    run shorter than ``min_run`` takes its right neighbour's label, and
+    a later run that is short, or has the label of the run before it,
+    extends that run.  Flagged (NaN) periods count as not-efficient.
+    ``mean_zeta`` averages every finite zeta of the segment.
     """
-    if not path.has_bands or path.efficient_flag is None:
+    flags = path.efficient_flag
+    if flags is None:
         raise DataError("path has no bands; run bootstrap_bands first")
     if min_run < 1:
         raise DataError("min_run must be >= 1")
-    flags = np.asarray(path.efficient_flag, dtype=bool)
     if flags.size == 0:
         return []
 
-    runs: list[tuple[bool, int, int]] = []  # (flag, start, end) inclusive
-    start = 0
-    for i in range(1, flags.size):
-        if flags[i] != flags[start]:
-            runs.append((bool(flags[start]), start, i - 1))
-            start = i
-    runs.append((bool(flags[start]), start, flags.size - 1))
-
-    def run_length(r: tuple[bool, int, int]) -> int:
-        return r[2] - r[1] + 1
-
-    changed = True
-    while changed and len(runs) > 1:
-        changed = False
-        for i, run in enumerate(runs):
-            if run_length(run) >= min_run:
-                continue
-            if i > 0:
-                absorbed = (runs[i - 1][0], runs[i - 1][1], run[2])
-                runs[i - 1: i + 1] = [absorbed]
-            else:
-                absorbed = (runs[1][0], run[1], runs[1][2])
-                runs[0:2] = [absorbed]
-            # coalesce equal-label neighbours created by the merge
-            j = 0
-            while j + 1 < len(runs):
-                if runs[j][0] == runs[j + 1][0]:
-                    runs[j: j + 2] = [(runs[j][0], runs[j][1], runs[j + 1][2])]
-                else:
-                    j += 1
-            changed = True
-            break
+    bounds = (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist()
+    runs: list[list] = []  # [flag, start, stop] with stop exclusive
+    for start, stop in zip([0, *bounds], [*bounds, flags.size]):
+        flag = bool(flags[start])
+        if len(runs) == 1 and runs[0][2] - runs[0][1] < min_run:
+            runs[0][0], runs[0][2] = flag, stop
+        elif runs and (stop - start < min_run or flag == runs[-1][0]):
+            runs[-1][2] = stop
+        else:
+            runs.append([flag, start, stop])
 
     segments = []
-    for flag, s, e in runs:
-        zeta_slice = path.zeta[s: e + 1]
+    for flag, start, stop in runs:
+        zeta_slice = path.zeta[start:stop]
         finite = zeta_slice[np.isfinite(zeta_slice)]
         segments.append(
             Segment(
-                start=path.dates[s],
-                end=path.dates[e],
+                start=path.dates[start],
+                end=path.dates[stop - 1],
                 label="efficient" if flag else "inefficient",
-                start_index=s,
-                end_index=e,
+                start_index=start,
+                end_index=stop - 1,
                 mean_zeta=float(finite.mean()) if finite.size else float("nan"),
             )
         )
@@ -243,7 +220,7 @@ def regime_volatility(path: EfficiencyPath, breakpoints: list) -> RegimeSummary:
     as [start, b1), [b1, b2), ..., [bk, end].  A breakpoint at the very
     first date simply starts regime one there, so k breakpoints name k
     regimes; otherwise the stretch before b1 is its own regime.  Empty
-    regimes are rejected.
+    regimes are rejected.  The SD takes every finite zeta of the regime.
     """
     dates = np.asarray(path.dates)
     if dates.dtype.kind == "M":
@@ -256,17 +233,12 @@ def regime_volatility(path: EfficiencyPath, breakpoints: list) -> RegimeSummary:
         if b < dates[0] or b > dates[-1]:
             raise DataError(f"breakpoint {b} outside the sample")
 
-    if bps.size and bps[0] == dates[0]:
-        edges = np.concatenate([bps, [dates[-1]]])
-    else:
-        edges = np.concatenate([[dates[0]], bps, [dates[-1]]])
+    inner = bps[bps > dates[0]]
+    regime = np.searchsorted(inner, dates, side="right")
+    efficient = path.efficient_flag
     starts, ends, sds, shares, counts = [], [], [], [], []
-    for r in range(len(edges) - 1):
-        lo, hi = edges[r], edges[r + 1]
-        if r == len(edges) - 2:
-            sel = (dates >= lo) & (dates <= hi)
-        else:
-            sel = (dates >= lo) & (dates < hi)
+    for r in range(inner.size + 1):
+        sel = regime == r
         if not sel.any():
             raise DataError(f"regime {r + 1} is empty")
         zeta = path.zeta[sel]
@@ -274,15 +246,11 @@ def regime_volatility(path: EfficiencyPath, breakpoints: list) -> RegimeSummary:
         if finite.size == 0:
             raise DataError(f"regime {r + 1} has no defined efficiency values")
         sds.append(float(finite.std(ddof=1)) if finite.size > 1 else 0.0)
-        if path.efficient_flag is not None:
-            shares.append(float(np.mean(path.efficient_flag[sel])))
-        else:
-            shares.append(float("nan"))
+        shares.append(float(np.mean(efficient[sel])) if efficient is not None else float("nan"))
         counts.append(int(sel.sum()))
         starts.append(dates[sel][0])
         ends.append(dates[sel][-1])
     return RegimeSummary(
-        breakpoints=list(bps),
         starts=starts,
         ends=ends,
         sd=np.asarray(sds),

@@ -268,12 +268,7 @@ def read_zeta_csv(path: str | Path) -> EfficiencyPath:
     path = Path(path)
     dates, zeta, lower, upper, flags = zip(*_read_table(
         path, _ZETA_HEADER, lambda rec: (_parse_date(rec[0]), *[_num(v) for v in rec[1:4]], rec[4])))
-    zeta_arr = np.asarray(zeta)
-    ep = EfficiencyPath(
-        dates=np.array(dates, dtype="datetime64[D]"),
-        zeta=zeta_arr,
-        flagged=~np.isfinite(zeta_arr),
-    )
+    ep = EfficiencyPath(dates=np.array(dates, dtype="datetime64[D]"), zeta=np.asarray(zeta))
     # a banded path has every flag cell filled; empty band cells stay NaN
     return ep.with_bands(np.asarray(lower), np.asarray(upper)) if any(flags) else ep
 
@@ -439,7 +434,7 @@ def segments_stage(config: PipelineConfig, out: Path,
 # plot emission
 
 
-def plot_data(ep: EfficiencyPath, out_dir: str | Path, stem: str = "zeta_plot") -> tuple[Path, Path]:
+def plot_data(ep: EfficiencyPath, out_dir: str | Path) -> tuple[Path, Path]:
     """Write the efficiency path as long-format CSV plus a static SVG.
 
     The SVG records its exact data ranges in ``data-y-min``/``data-y-max``
@@ -451,18 +446,19 @@ def plot_data(ep: EfficiencyPath, out_dir: str | Path, stem: str = "zeta_plot") 
     out_dir = Path(out_dir)
     svg = _svg_chart(ep)  # raises before anything is written
     dates = ep.dates.tolist()
-    p_csv = out_dir / f"{stem}.csv"
+    p_csv = out_dir / "zeta_plot.csv"
     _write_csv(p_csv, ["date", "series", "value"], (
         (d, name, v)
         for name, arr in (("zeta", ep.zeta), ("lower", ep.band_lower), ("upper", ep.band_upper))
         for d, v in zip(dates, arr.tolist())
     ))
-    p_svg = out_dir / f"{stem}.svg"
+    p_svg = out_dir / "zeta_plot.svg"
     p_svg.write_text(svg, encoding="utf-8")
     return p_csv, p_svg
 
 
-def _svg_chart(ep: EfficiencyPath, width: int = 800, height: int = 400, margin: int = 50) -> str:
+def _svg_chart(ep: EfficiencyPath) -> str:
+    width, height, margin = 800, 400, 50
     finite = np.concatenate([
         ep.zeta[np.isfinite(ep.zeta)],
         ep.band_lower[np.isfinite(ep.band_lower)],

@@ -52,23 +52,20 @@ class CsvSchema:
 
 @dataclass
 class PriceSeries:
-    """Dated multivariate price observations with missing-value flags.
+    """Dated multivariate price observations; a missing price is NaN.
 
-    ``prices`` holds NaN exactly where ``missing_mask`` is True.  Dates are
-    strictly increasing; every observed price is positive.
+    NaN is the only record of a gap: ``missing_mask`` is derived from
+    ``prices``.  Dates are strictly increasing; every observed price is
+    positive.
     """
 
     dates: np.ndarray  # datetime64[D], shape (T,)
     prices: np.ndarray  # float64, shape (T, n)
-    missing_mask: np.ndarray  # bool, shape (T, n)
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         self.dates = np.asarray(self.dates, dtype="datetime64[D]")
         self.prices = np.atleast_2d(np.asarray(self.prices, dtype=np.float64))
-        self.missing_mask = np.atleast_2d(np.asarray(self.missing_mask, dtype=bool))
-        if self.prices.shape != self.missing_mask.shape:
-            raise DataError("prices and missing_mask shapes differ")
         if self.prices.shape[0] != self.dates.shape[0]:
             raise DataError("dates and prices lengths differ")
         if self.prices.shape[1] != len(self.labels):
@@ -78,6 +75,11 @@ class PriceSeries:
         observed = self.prices[~self.missing_mask]
         if observed.size and not (observed > 0).all():
             raise DataError("non-missing prices must be positive")
+
+    @property
+    def missing_mask(self) -> np.ndarray:
+        """Missing cells: where ``prices`` is NaN, shape (T, n)."""
+        return np.isnan(self.prices)
 
     @property
     def n_columns(self) -> int:
@@ -219,13 +221,8 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
     if (counts > 1).any():
         raise DataError(f"{path}: duplicate date {uniq[counts > 1][0]}")
     order = np.argsort(date_arr, kind="stable")
-    price_arr = np.asarray(prices, dtype=np.float64)[order]
-    return PriceSeries(
-        dates=date_arr[order],
-        prices=price_arr,
-        missing_mask=np.isnan(price_arr),
-        labels=price_cols,
-    )
+    return PriceSeries(dates=date_arr[order], prices=np.asarray(prices, dtype=np.float64)[order],
+                       labels=price_cols)
 
 
 def _coerce_values(X: ReturnMatrix | np.ndarray) -> tuple[np.ndarray, tuple[str, ...], np.ndarray | None]:
@@ -260,8 +257,9 @@ def interpolate_missing(s: PriceSeries) -> PriceSeries:
     """
     filled = s.prices.copy()
     idx = np.arange(len(s), dtype=np.float64)
+    missing = s.missing_mask
     for j in range(s.n_columns):
-        col_missing = s.missing_mask[:, j]
+        col_missing = missing[:, j]
         if not col_missing.any():
             continue
         if col_missing[0] or col_missing[-1]:
@@ -281,7 +279,7 @@ def interpolate_missing(s: PriceSeries) -> PriceSeries:
             raise DataError(
                 f"column {s.labels[j]!r}: spline produced a non-positive price"
             )
-    return PriceSeries(s.dates.copy(), filled, np.zeros_like(s.missing_mask), s.labels)
+    return PriceSeries(s.dates.copy(), filled, s.labels)
 
 
 def log_returns(s: PriceSeries) -> ReturnMatrix:

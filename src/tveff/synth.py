@@ -155,5 +155,4 @@ def true_zeta_path(path: np.ndarray) -> np.ndarray:
     path = np.asarray(path, dtype=np.float64)
     if path.ndim != 4:
         raise DataError("path must have shape (T, q, n, n)")
-    zeta, _ = zeta_from_coefficient_stack(path)
-    return zeta
+    return zeta_from_coefficient_stack(path)

@@ -34,7 +34,7 @@ decompositions, which also decide which periods are flagged singular
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -142,42 +142,44 @@ class TvVarFit:
 class EfficiencyPath:
     """Efficiency-degree series with optional bootstrap bands.
 
-    ``zeta`` is NaN at periods flagged numerically singular.  When bands
-    are present, ``efficient_flag`` is False exactly where zeta falls
-    outside [band_lower, band_upper] (flagged periods are also False:
-    they certify nothing).
+    ``zeta`` is NaN at periods flagged numerically singular, and NaN is
+    the only record of that: ``flagged`` and ``efficient_flag`` are
+    derived from ``zeta`` and the bands.
     """
 
     dates: np.ndarray  # (m,) datetime64 or integer positions
     zeta: np.ndarray  # (m,)
-    flagged: np.ndarray  # (m,) bool: numerically singular periods
     band_lower: np.ndarray | None = None
     band_upper: np.ndarray | None = None
-    efficient_flag: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.zeta.shape[0]
 
     @property
+    def flagged(self) -> np.ndarray:
+        """Numerically singular periods: where zeta is NaN."""
+        return np.isnan(self.zeta)
+
+    @property
     def has_bands(self) -> bool:
         return self.band_lower is not None and self.band_upper is not None
+
+    @property
+    def efficient_flag(self) -> np.ndarray | None:
+        """Where zeta lies in [band_lower, band_upper]; None without bands.
+
+        Flagged periods are False: they certify nothing.
+        """
+        if not self.has_bands:
+            return None
+        return (self.zeta >= self.band_lower) & (self.zeta <= self.band_upper)
 
     def with_bands(self, lower: np.ndarray, upper: np.ndarray) -> "EfficiencyPath":
         lower = np.asarray(lower, dtype=np.float64)
         upper = np.asarray(upper, dtype=np.float64)
         if lower.shape != self.zeta.shape or upper.shape != self.zeta.shape:
             raise DataError("band shapes do not match the path")
-        with np.errstate(invalid="ignore"):
-            efficient = (self.zeta >= lower) & (self.zeta <= upper)
-        efficient &= ~self.flagged
-        return EfficiencyPath(
-            dates=self.dates,
-            zeta=self.zeta,
-            flagged=self.flagged,
-            band_lower=lower,
-            band_upper=upper,
-            efficient_flag=efficient,
-        )
+        return replace(self, band_lower=lower, band_upper=upper)
 
 
 def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> StackedSystem:
@@ -287,24 +289,23 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     )
 
 
-def _zeta_svd(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zeta and singular flags of each ``S = I - sum_l A_l`` by SVD.
+def _zeta_svd(S: np.ndarray) -> np.ndarray:
+    """Zeta of each ``S = I - sum_l A_l`` by SVD, NaN where S is singular.
 
-    cond = s_max / s_min of S decides the flags; zeta is s_max of
-    ``inv(S) - I`` at the periods that are not flagged.
+    cond = s_max / s_min of S decides singularity (not finite or above
+    ``_COND_LIMIT``); zeta is s_max of ``inv(S) - I`` elsewhere.
     """
     m, n, _ = S.shape
     sv = np.linalg.svd(S, compute_uv=False)  # (m, n), descending
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
-    flagged = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     zeta = np.full(m, np.nan)
-    ok = ~flagged
+    ok = np.isfinite(cond) & (cond <= _COND_LIMIT)
     if ok.any():
         phi = np.linalg.inv(S[ok])
         dev = phi - np.eye(n)[None, :, :]
         zeta[ok] = np.linalg.svd(dev, compute_uv=False)[:, 0]
-    return zeta, flagged
+    return zeta
 
 
 def _sigma_max_2x2(a, b, c, d):
@@ -372,12 +373,12 @@ def _zeta_closed_form(A_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.sqrt(np.where(p > 0, lam_max, q)) / det, cond
 
 
-def zeta_from_coefficient_stack(A_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def zeta_from_coefficient_stack(A_stack: np.ndarray) -> np.ndarray:
     """Efficiency degree per period from a (m, q, n, n) coefficient stack.
 
     Periods where ``I - sum_l A_l`` is numerically singular (condition
-    number above ``_COND_LIMIT`` or not finite) are flagged and reported
-    as NaN instead of aborting the whole path.
+    number above ``_COND_LIMIT`` or not finite) are NaN instead of
+    aborting the whole path.
 
     For n <= 3 zeta comes from exact closed forms (see
     ``_zeta_closed_form``); any period whose condition estimate (an upper
@@ -395,15 +396,13 @@ def zeta_from_coefficient_stack(A_stack: np.ndarray) -> tuple[np.ndarray, np.nda
     if n > 3:
         return _zeta_svd(np.eye(n)[None, :, :] - A_sum)
     zeta, cond = _zeta_closed_form(A_sum)
-    flagged = np.zeros(zeta.shape, dtype=bool)
     slow = ~(cond < _FAST_COND_LIMIT) | np.isnan(zeta)  # NaN estimates included
     if slow.any():
-        zeta[slow], flagged[slow] = _zeta_svd(np.eye(n)[None, :, :] - A_sum[slow])
-    return zeta, flagged
+        zeta[slow] = _zeta_svd(np.eye(n)[None, :, :] - A_sum[slow])
+    return zeta
 
 
 def tv_efficiency_path(fit: TvVarFit) -> EfficiencyPath:
     """Per-period efficiency degree of a fitted time-varying VAR."""
-    zeta, flagged = zeta_from_coefficient_stack(fit.A_path)
     dates = fit.dates if fit.dates is not None else np.arange(fit.nobs)
-    return EfficiencyPath(dates=dates, zeta=zeta, flagged=flagged)
+    return EfficiencyPath(dates=dates, zeta=zeta_from_coefficient_stack(fit.A_path))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .series import _return_values
 
 __all__ = [
     "AdfGlsResult",
@@ -75,9 +76,10 @@ def gls_detrend(y: np.ndarray, model: str = "trend", c_bar: float | None = None)
     Quasi-differences ``y`` and the deterministic terms at
     ``alpha = 1 + c_bar/T``, estimates the deterministic coefficients on
     the quasi-differenced pair by least squares, and returns
-    ``y - Z @ delta_hat`` in levels.
+    ``y - Z @ delta_hat`` in levels.  A NaN or infinite value in ``y``
+    is a :class:`DataError`.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = _return_values(y).ravel()
     T = y.shape[0]
     if T < 10:
         raise DataError(f"need at least 10 observations, got {T}")
@@ -178,8 +180,9 @@ def adf_gls(
 
     After detrending and lag selection the final ADF regression uses the
     full sample available for the chosen lag (t = k+1 .. T-1, 0-based).
+    A NaN or infinite value in ``y`` is a :class:`DataError`.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = _return_values(y).ravel()
     T = y.shape[0]
     if k_max is None:
         k_max = default_max_lag(T)

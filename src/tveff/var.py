@@ -255,8 +255,8 @@ def constancy_critical_values(dof: int) -> dict[str, float]:
     return {"10%": q10, "5%": q5, "1%": q1}
 
 
-def hansen_lc(fit: VarFit, level: str = "5%") -> ConstancyTest:
-    """Joint cumulative-score constancy test over all VAR equations.
+def hansen_lc(fit: VarFit) -> ConstancyTest:
+    """Joint cumulative-score constancy test over all VAR equations, at 5%.
 
     Per equation the moment sequence stacks the regressor-residual
     products and the centered squared residual; pooling equations gives
@@ -283,14 +283,12 @@ def hansen_lc(fit: VarFit, level: str = "5%") -> ConstancyTest:
     lc = float(np.sum(S.T * VS) / nobs)
     dof = F.shape[1]
     crit = constancy_critical_values(dof)
-    if level not in crit:
-        raise DataError(f"level must be one of {sorted(crit)}, got {level!r}")
     return ConstancyTest(
         lc_statistic=lc,
         dof=dof,
         critical_values=crit,
-        level=level,
-        reject=lc > crit[level],
+        level="5%",
+        reject=lc > crit["5%"],
     )
 
 
@@ -331,8 +329,8 @@ def efficiency_degree(A: list[np.ndarray] | np.ndarray) -> float:
     """
     stack = np.stack([np.atleast_2d(np.asarray(a, dtype=np.float64))
                       for a in _as_matrix_list(A)])
-    zeta, flagged = zeta_from_coefficient_stack(stack[None])
-    if flagged[0]:
+    zeta = float(zeta_from_coefficient_stack(stack[None])[0])
+    if np.isnan(zeta):
         B = np.eye(stack.shape[1]) - stack.sum(axis=0)
         raise _singular_error(float(np.linalg.cond(B)))
-    return float(zeta[0])
+    return zeta

@@ -272,8 +272,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 def test_criterion_9_spline_exactness():
     dates = np.datetime64("2020-01-01") + np.arange(5)
     prices = np.array([100.0, np.nan, 102.0, 103.0, 104.0])[:, None]
-    s = PriceSeries(dates=dates, prices=prices,
-                    missing_mask=~np.isfinite(prices), labels=("a",))
+    s = PriceSeries(dates=dates, prices=prices, labels=("a",))
     filled = interpolate_missing(s)
     lin_err = abs(filled.prices[1, 0] - 101.0)
 
@@ -292,7 +291,7 @@ def test_criterion_9_spline_exactness():
         with_nan[mask] = np.nan
         series = PriceSeries(
             dates=np.datetime64("2020-01-01") + np.arange(T),
-            prices=with_nan, missing_mask=mask,
+            prices=with_nan,
             labels=tuple(f"c{j}" for j in range(n)),
         )
         once = interpolate_missing(series)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tveff.errors import DataError
 from tveff.inference import (
@@ -12,20 +14,16 @@ from tveff.synth import ScenarioSpec, gen_returns
 from tveff.tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path
 
 
-def make_path(zeta, flags=None, lower=None, upper=None):
+def make_path(zeta, flags=None, dates=None):
+    """A path dated from 2020-01-01; ``flags`` sets bands holding zeta exactly where True."""
     zeta = np.asarray(zeta, dtype=float)
-    m = zeta.shape[0]
-    path = EfficiencyPath(
-        dates=np.datetime64("2020-01-01") + np.arange(m),
-        zeta=zeta,
-        flagged=~np.isfinite(zeta),
-    )
-    if lower is not None:
-        return path.with_bands(np.asarray(lower, float), np.asarray(upper, float))
-    if flags is not None:
-        path.band_lower = np.zeros(m)
-        path.band_upper = np.ones(m)
-        path.efficient_flag = np.asarray(flags, dtype=bool)
+    if dates is None:
+        dates = np.datetime64("2020-01-01") + np.arange(zeta.shape[0])
+    path = EfficiencyPath(dates=dates, zeta=zeta)
+    if flags is None:
+        return path
+    path = path.with_bands(np.where(flags, zeta - 1.0, zeta + 1.0), zeta + 1.0)
+    assert np.array_equal(path.efficient_flag, np.asarray(flags, dtype=bool))
     return path
 
 
@@ -167,17 +165,20 @@ class TestClassifySegments:
         segs = classify_segments(path, min_run=1)
         assert [s.label for s in segs] == ["efficient", "inefficient", "efficient"]
 
-    def test_matches_reference_merger_on_random_flags(self):
-        rng = np.random.default_rng(11)
-        for trial in range(30):
-            m = int(rng.integers(5, 60))
-            flags = rng.random(m) < 0.5
-            min_run = int(rng.integers(1, 6))
-            path = make_path(rng.random(m), flags=flags)
-            segs = classify_segments(path, min_run=min_run)
-            ref = reference_merge(list(flags), min_run)
-            got = [(s.label == "efficient", s.start_index, s.end_index) for s in segs]
-            assert got == ref, f"trial {trial}: {got} != {ref}"
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 9)), max_size=14),
+           st.integers(1, 130))
+    @example([], 1)  # no periods
+    @example([(True, 12)], 5)  # all equal
+    @example([(False, 3), (False, 4)], 2)
+    @example([(True, 2), (False, 3), (True, 1)], 10)  # min_run above m
+    @example([(False, 1), (True, 1), (False, 1), (True, 6), (False, 2)], 3)
+    def test_matches_reference_merger_on_random_flags(self, runs, min_run):
+        flags = [flag for flag, length in runs for _ in range(length)]
+        path = make_path(np.linspace(0.0, 1.0, len(flags)), flags=flags)
+        got = [(s.label == "efficient", s.start_index, s.end_index)
+               for s in classify_segments(path, min_run=min_run)]
+        assert got == (reference_merge(flags, min_run) if flags else [])
 
     def test_alternating_with_min_run_three(self):
         flags = [True, False, True, False, True, True, True, False, False, False]
@@ -235,6 +236,36 @@ class TestRegimeVolatility:
         path = make_path(np.random.default_rng(13).random(10), flags=np.ones(10, bool))
         with pytest.raises(DataError, match="outside"):
             regime_volatility(path, ["2030-01-01"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True),
+           st.lists(st.integers(0, 40), max_size=6, unique=True))
+    @example([0, 1, 2, 3, 4, 5], [0, 5])  # on the first and on the last date
+    @example(list(range(10)), [3, 4, 5])  # on consecutive dates
+    @example([0], [0])
+    @example([0, 5, 10], [2, 3])  # two breakpoints between neighbouring dates
+    @example([0, 5, 10], [10])
+    def test_counts_match_date_comparisons(self, offsets, picks):
+        base = np.datetime64("2020-01-01")
+        dates = base + np.array(sorted(offsets))
+        bps = base + np.array(sorted(p for p in picks if min(offsets) <= p <= max(offsets)), int)
+        path = make_path(np.random.default_rng(len(offsets)).random(len(dates)),
+                         flags=np.ones(len(dates), bool), dates=dates)
+        # regime r runs from its start up to the next start; a breakpoint
+        # on the first date starts regime one instead of an empty regime
+        starts = [dates[0], *(b for b in bps if b > dates[0])]
+        stops = [*starts[1:], dates[-1] + 1]
+        expected = [int(((dates >= lo) & (dates < hi)).sum()) for lo, hi in zip(starts, stops)]
+        if 0 in expected:
+            with pytest.raises(DataError, match=f"regime {expected.index(0) + 1} is empty"):
+                regime_volatility(path, [str(b) for b in bps])
+            return
+        summary = regime_volatility(path, [str(b) for b in bps])
+        assert summary.counts.tolist() == expected
+        assert summary.counts.sum() == len(dates)
+        assert summary.starts == [dates[dates >= lo][0] for lo in starts]
+        assert summary.ends == [dates[dates < hi][-1] for hi in stops]
+        np.testing.assert_array_equal(summary.efficient_share, 1.0)
 
     def test_regimes_partition_path(self):
         rng = np.random.default_rng(14)

@@ -101,7 +101,7 @@ class TestRoundTrips:
         for upper in (np.ones(m), nan_band):
             ep = EfficiencyPath(
                 dates=np.datetime64("2020-01-01") + np.arange(m),
-                zeta=zeta, flagged=~np.isfinite(zeta),
+                zeta=zeta,
             ).with_bands(np.zeros(m), upper)
             p = tmp_path / "z.csv"
             write_zeta_csv(p, ep)
@@ -161,7 +161,7 @@ class TestRoundTrips:
         ep = EfficiencyPath(
             dates=np.array(data.draw(st.lists(st.dates(), min_size=m, max_size=m)),
                            dtype="datetime64[D]"),
-            zeta=zeta, flagged=~np.isfinite(zeta),
+            zeta=zeta,
         )
         if data.draw(st.booleans(), label="banded"):
             ep = ep.with_bands(data.draw(hnp.arrays(np.float64, m, elements=cells)),
@@ -298,7 +298,7 @@ class TestPlotData:
         zeta = rng.random(m)
         ep = EfficiencyPath(
             dates=np.datetime64("2020-01-01") + np.arange(m),
-            zeta=zeta, flagged=np.zeros(m, bool),
+            zeta=zeta,
         )
         return ep.with_bands(zeta - 0.1, zeta + 0.1)
 
@@ -329,7 +329,7 @@ class TestPlotData:
         m = 10
         ep = EfficiencyPath(
             dates=np.datetime64("2020-01-01") + np.arange(m),
-            zeta=np.zeros(m), flagged=np.zeros(m, bool),
+            zeta=np.zeros(m),
         ).with_bands(np.zeros(m), np.zeros(m))
         _, p_svg = plot_data(ep, tmp_path)
         assert p_svg.exists()

@@ -25,15 +25,13 @@ def write_csv(tmp_path, text, name="prices.csv"):
     return p
 
 
-def make_series(prices, mask=None):
+def make_series(prices):
     prices = np.atleast_2d(np.asarray(prices, dtype=float))
     if prices.shape[0] == 1:
         prices = prices.T
-    if mask is None:
-        mask = ~np.isfinite(prices)
     dates = np.datetime64("2020-01-01") + np.arange(prices.shape[0])
     labels = tuple(f"p{j}" for j in range(prices.shape[1]))
-    return PriceSeries(dates=dates, prices=prices, missing_mask=mask, labels=labels)
+    return PriceSeries(dates=dates, prices=prices, labels=labels)
 
 
 class TestLoadCsv:
@@ -135,7 +133,7 @@ class TestInterpolate:
         with_nan[mask] = np.nan
         s = PriceSeries(
             dates=np.datetime64("2020-01-01") + np.arange(30),
-            prices=with_nan, missing_mask=mask, labels=("a", "b"),
+            prices=with_nan, labels=("a", "b"),
         )
         out = interpolate_missing(s)
         np.testing.assert_array_equal(out.prices[~mask], prices[~mask])
@@ -164,7 +162,7 @@ class TestInterpolate:
             with_nan[mask] = np.nan
             s = PriceSeries(
                 dates=np.datetime64("2020-01-01") + np.arange(T),
-                prices=with_nan, missing_mask=mask, labels=("a", "b"),
+                prices=with_nan, labels=("a", "b"),
             )
             once = interpolate_missing(s)
             twice = interpolate_missing(once)
@@ -202,7 +200,7 @@ class TestLogReturns:
         prices = 100 * np.exp(np.vstack([np.zeros(2), np.cumsum(r, axis=0)]))
         s = PriceSeries(
             dates=np.datetime64("2020-01-01") + np.arange(51),
-            prices=prices, missing_mask=np.zeros((51, 2), bool), labels=("a", "b"),
+            prices=prices, labels=("a", "b"),
         )
         back = log_returns(s)
         np.testing.assert_allclose(back.values, r, atol=1e-12)

@@ -108,6 +108,15 @@ class TestGlsDetrend:
         with pytest.raises(DataError, match="negative"):
             gls_detrend(np.arange(20.0), "constant", c_bar=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("test", [gls_detrend, adf_gls])
+    def test_non_finite_value_is_data_error(self, test, bad):
+        # one bad draw must not reach LAPACK or come back as a NaN series
+        y = np.random.default_rng(0).standard_normal(200)
+        y[57] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            test(y)
+
 
 class TestMbicLagSelect:
     def test_iid_matches_exhaustive_oracle(self):
