@@ -5,7 +5,14 @@ pseudo-samples add the sample mean back to return vectors resampled
 jointly with replacement (joint resampling keeps the contemporaneous
 cross-correlation intact).  Each replication re-runs the full
 time-varying fit, intercept included, and the per-period efficiency
-degrees are reduced to equal-tail empirical quantiles.
+degrees are reduced to equal-tail empirical quantiles, taken by an
+in-place partition of the (B, m) replication array.
+
+Each worker refits a contiguous block of replications in one
+preallocated workspace (``tvvar._Workspace``): the pseudo-sample, band,
+factor, right-hand sides and slopes are overwritten in place, through
+the same assembly and solve routines as ``solve_tvvar``, so the
+replicated zeta equal those of full refits bit for bit.
 
 Replications draw from streams pre-assigned by spawning the master seed,
 and results are aggregated by replication index, so serial and threaded
@@ -21,8 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .series import ReturnMatrix, _coerce_values, _parse_date
-from .tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path, zeta_from_coefficient_stack
+from .series import ReturnMatrix, _coerce_values, _parse_date, _return_values
+from .tvvar import (
+    EfficiencyPath,
+    _assemble,
+    _Workspace,
+    solve_tvvar,
+    tv_efficiency_path,
+    zeta_from_coefficient_stack,
+)
 
 __all__ = [
     "BootstrapSpec",
@@ -105,27 +119,39 @@ class RegimeSummary:
 def _null_zeta_paths(
     values: np.ndarray, spec: BootstrapSpec
 ) -> np.ndarray:
-    """(B, m) efficiency degrees of null-resampled pseudo-samples."""
+    """(B, m) efficiency degrees of null-resampled pseudo-samples.
+
+    Each worker refits a contiguous block of replications in its own
+    ``_Workspace`` and takes zeta straight from the slopes.
+    """
     T, n = values.shape
+    q = spec.q
     mean = values.mean(axis=0)
     centered = values - mean
     streams = np.random.SeedSequence(spec.seed).spawn(spec.replications)
-    m = T - spec.q
-    zstar = np.empty((spec.replications, m))
+    zstar = np.empty((spec.replications, T - q))
 
-    def one(b: int) -> None:
-        rng = np.random.default_rng(streams[b])
-        idx = rng.integers(0, T, size=T)
-        pseudo = mean[None, :] + centered[idx]
-        fit = solve_tvvar(pseudo, q=spec.q, lam=spec.lam)
-        zstar[b] = zeta_from_coefficient_stack(fit.A_path)
+    def block(lo: int, hi: int) -> None:
+        ws = _Workspace(values, q, spec.lam)
+        pseudo = np.empty_like(values)
+        # (m, q, n, n) view of the slopes: period, lag, equation, regressor
+        A_stack = ws.beta.reshape(T - q, q, n, n).transpose(0, 1, 3, 2)
+        for b in range(lo, hi):
+            idx = np.random.default_rng(streams[b]).integers(0, T, size=T)
+            np.take(centered, idx, axis=0, out=pseudo)
+            pseudo += mean
+            _return_values(pseudo)  # rejects a non-finite pseudo-sample
+            _assemble(ws.system, pseudo)
+            ws.solve()
+            zstar[b] = zeta_from_coefficient_stack(A_stack)
 
-    if spec.workers == 1:
-        for b in range(spec.replications):
-            one(b)
+    blocks = min(spec.workers, spec.replications)
+    edges = [spec.replications * w // blocks for w in range(blocks + 1)]
+    if blocks == 1:
+        block(0, spec.replications)
     else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            list(pool.map(one, range(spec.replications)))
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            list(pool.map(block, edges[:-1], edges[1:]))
     return zstar
 
 
@@ -162,10 +188,9 @@ def bootstrap_bands(
         )
 
     zstar = _null_zeta_paths(values, spec)
-    zsorted = np.sort(zstar, axis=0)
-    lower = zsorted[k_lo - 1]
-    upper = zsorted[k_hi - 1]
-    return path.with_bands(lower, upper)
+    # in place; NaN orders last, as in np.sort
+    zstar.partition([k_lo - 1, k_hi - 1], axis=0)
+    return path.with_bands(zstar[k_lo - 1].copy(), zstar[k_hi - 1].copy())
 
 
 def classify_segments(path: EfficiencyPath, min_run: int = 20) -> list[Segment]:

@@ -71,12 +71,17 @@ class StackedSystem:
     (scipy layout: band[i, j] = M[j+i, j]); ``border`` is the column
     coupling the states to the shared intercept, whose own diagonal
     entry is ``corner``.  Right-hand sides are per equation.
+
+    The arrays are buffers that ``_assemble`` refills from any sample of
+    the same shape.  ``band`` is in Fortran order, and ``rhs`` and
+    ``border`` are the columns of one Fortran-order (m*k, n+1) array, so
+    LAPACK factors and solves them in place; the data-free parts (the
+    smoothness penalty on the diagonal, the -lam^2 cross row) are
+    written once.
     """
 
-    band: np.ndarray  # (k+1, m*k)
-    border: np.ndarray  # (m*k,)
+    band: np.ndarray  # (k+1, m*k), Fortran order
     corner: float
-    rhs: np.ndarray  # (m*k, n)
     rhs_border: np.ndarray  # (n,)
     m: int
     k: int
@@ -85,6 +90,16 @@ class StackedSystem:
     targets: np.ndarray = field(repr=False)  # (m, n)
     labels: tuple[str, ...] = field(repr=False)
     dates: np.ndarray | None = field(repr=False)  # (m,) datetime64 of the targets, or None
+    _columns: np.ndarray = field(repr=False)  # (m*k, n+1): rhs, then border
+    _penalty: np.ndarray = field(repr=False)  # (m, 1): lam^2 times each period's penalty count
+
+    @property
+    def rhs(self) -> np.ndarray:  # (m*k, n)
+        return self._columns[:, :-1]
+
+    @property
+    def border(self) -> np.ndarray:  # (m*k,)
+        return self._columns[:, -1]
 
     def dense(self, equation: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the full bordered normal matrix and one equation's rhs.
@@ -182,6 +197,32 @@ class EfficiencyPath:
         return replace(self, band_lower=lower, band_upper=upper)
 
 
+def _assemble(system: StackedSystem, values: np.ndarray) -> None:
+    """Fill every data-dependent entry of ``system`` from ``values`` (T, n), in place.
+
+    The one assembly routine: ``build_stacked_system`` runs it on the
+    sample, the bootstrap on each pseudo-sample of the same shape.
+    """
+    m, k = system.m, system.k
+    q = values.shape[0] - m
+    Z = _lagged(values, q, q, out=system.regressors)
+    Y = system.targets = values[q:]
+
+    rows = system.band.T.reshape(m, k, k + 1)  # rows[t, j, i] = band[i, t*k + j]
+    diag = rows[:, :, 0]
+    np.multiply(Z, Z, out=diag)
+    diag += system._penalty
+    zero_cols = ~np.any(Z != 0.0, axis=0)
+    if zero_cols.any():
+        diag[0, zero_cols] += system.lam * system.lam  # anchor data-free components at zero
+    for i in range(1, k):
+        np.multiply(Z[:, i:], Z[:, : k - i], out=rows[:, : k - i, i])
+
+    np.multiply(Z[:, :, None], Y[:, None, :], out=system.rhs.reshape(m, k, -1))
+    system.border[:] = Z.ravel()
+    np.sum(Y, axis=0, out=system.rhs_border)
+
+
 def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> StackedSystem:
     """Assemble the penalized normal equations for every equation at once.
 
@@ -199,43 +240,80 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
         raise DataError(f"need at least q+2 observations, got T={T}")
     k = n * q
 
-    Z = _lagged(values, q, q)
-    Y = values[q:]
-
     lam2 = lam * lam
     penalty_count = np.full(m, 2.0)
     penalty_count[0] = 1.0
     penalty_count[-1] = 1.0
+    band = np.zeros((k + 1, m * k), order="F")
+    band[k, : (m - 1) * k] = -lam2  # cross row: each period's coupling to the next
 
-    band = np.zeros((k + 1, m * k))
-    diag = (Z * Z) + lam2 * penalty_count[:, None]
-    zero_cols = ~np.any(Z != 0.0, axis=0)
-    if zero_cols.any():
-        diag[0, zero_cols] += lam2  # anchor data-free components at zero
-    band[0] = diag.ravel()
-    for i in range(1, k):
-        within = np.zeros((m, k))
-        within[:, : k - i] = Z[:, i:] * Z[:, : k - i]
-        band[i] = within.ravel()
-    cross = np.zeros((m, k))
-    cross[: m - 1, :] = -lam2
-    band[k] = cross.ravel()
-
-    rhs = (Z[:, :, None] * Y[:, None, :]).reshape(m * k, n)
-    return StackedSystem(
+    system = StackedSystem(
         band=band,
-        border=Z.ravel().copy(),
         corner=float(m),
-        rhs=rhs,
-        rhs_border=Y.sum(axis=0),
+        rhs_border=np.empty(n),
         m=m,
         k=k,
         lam=lam,
-        regressors=Z,
-        targets=Y,
+        regressors=np.empty((m, k)),
+        targets=values[q:],
         labels=labels,
         dates=None if dates is None else dates[q:].copy(),
+        _columns=np.empty((m * k, n + 1), order="F"),
+        _penalty=lam2 * penalty_count[:, None],
     )
+    _assemble(system, values)
+    return system
+
+
+class _Workspace:
+    """A stacked system with its factor and slope buffers, solved in place.
+
+    ``solve_tvvar`` solves one once.  The bootstrap keeps one per worker,
+    refills it with ``_assemble`` from each pseudo-sample and solves it
+    again, so no replication allocates a band, a factor, right-hand
+    sides or slopes.
+    """
+
+    def __init__(self, X: ReturnMatrix | np.ndarray, q: int, lam: float):
+        self.system = build_stacked_system(X, q, lam)
+        m, k = self.system.m, self.system.k
+        if m < 5 * k:
+            raise DataError(f"sample too short for TV-VAR: T-q={m} < 5*n*q={5 * k}")
+        self.factor = np.empty_like(self.system.band)
+        self.beta = np.empty(self.system.rhs.shape)  # (m*k, n): slopes of each equation
+
+    def solve(self) -> tuple[np.ndarray, float]:
+        """Slopes into ``beta``; return the intercepts and a condition estimate.
+
+        Banded Cholesky of the band, one solve for every right-hand side
+        and the border, then Schur-complement bordering for the
+        intercept.  The system's ``rhs`` and ``border`` are overwritten
+        by their solutions.
+        """
+        system = self.system
+        np.copyto(self.factor, system.band)
+        try:
+            factor = cholesky_banded(self.factor, overwrite_ab=True, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "normal matrix is not positive definite "
+                f"(m={system.m}, k={system.k}, lam={system.lam}); regressors may be collinear"
+            ) from exc
+        fdiag = factor[0]
+        cond_est = float((fdiag.max() / fdiag.min()) ** 2)
+        if not np.isfinite(cond_est) or cond_est > 1e30:
+            raise NumericalError(f"normal matrix numerically singular (cond~{cond_est:.3e})")
+
+        sol = cho_solve_banded((factor, True), system._columns, overwrite_b=True)
+        U, w = sol[:, :-1], sol[:, -1]
+        border = system.regressors.ravel()  # the border's values; the column now holds w
+
+        denom = system.corner - float(border @ w)
+        if denom <= 0:
+            raise NumericalError("intercept Schur complement is not positive")
+        nu = (system.rhs_border - border @ U) / denom
+        np.subtract(U, np.outer(w, nu, out=self.beta), out=self.beta)
+        return nu, cond_est
 
 
 def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVarFit:
@@ -244,37 +322,14 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     Output is deterministic: identical inputs give bit-identical paths
     regardless of caller threading.
     """
-    system = build_stacked_system(X, q, lam)
-    m, k = system.m, system.k
-    n = system.targets.shape[1]
-    if m < 5 * k:
-        raise DataError(f"sample too short for TV-VAR: T-q={m} < 5*n*q={5 * k}")
-
-    try:
-        factor = cholesky_banded(system.band, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "normal matrix is not positive definite "
-            f"(m={m}, k={k}, lam={lam}); regressors may be collinear"
-        ) from exc
-    fdiag = factor[0]
-    cond_est = float((fdiag.max() / fdiag.min()) ** 2)
-    if not np.isfinite(cond_est) or cond_est > 1e30:
-        raise NumericalError(f"normal matrix numerically singular (cond~{cond_est:.3e})")
-
-    rhs_all = np.column_stack([system.rhs, system.border])
-    sol = cho_solve_banded((factor, True), rhs_all)
-    U, w = sol[:, :n], sol[:, n]
-
-    denom = system.corner - float(system.border @ w)
-    if denom <= 0:
-        raise NumericalError("intercept Schur complement is not positive")
-    nu = (system.rhs_border - system.border @ U) / denom
-    beta = U - np.outer(w, nu)  # (m*k, n)
+    ws = _Workspace(X, q, lam)
+    nu, cond_est = ws.solve()
+    system, beta = ws.system, ws.beta
+    m, n = system.m, nu.shape[0]
 
     path4 = beta.reshape(m, q, n, n)  # axes: period, lag, regressor col, equation
     A_path = np.transpose(path4, (0, 1, 3, 2)).copy()
-    fitted = nu[None, :] + np.einsum("rk,rki->ri", system.regressors, beta.reshape(m, k, n))
+    fitted = nu[None, :] + np.einsum("rk,rki->ri", system.regressors, beta.reshape(m, system.k, n))
     residuals = system.targets - fitted
 
     return TvVarFit(

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import tveff.inference
 from tveff.errors import DataError
 from tveff.inference import (
     BootstrapSpec,
@@ -11,7 +13,12 @@ from tveff.inference import (
     regime_volatility,
 )
 from tveff.synth import ScenarioSpec, gen_returns
-from tveff.tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path
+from tveff.tvvar import (
+    EfficiencyPath,
+    solve_tvvar,
+    tv_efficiency_path,
+    zeta_from_coefficient_stack,
+)
 
 
 def make_path(zeta, flags=None, dates=None):
@@ -149,6 +156,74 @@ class TestBootstrapBands:
                                               seed=6, q=1), pretested=True)
         outside = (ep.zeta < ep.band_lower) | (ep.zeta > ep.band_upper)
         np.testing.assert_array_equal(ep.efficient_flag, ~outside)
+
+    def test_zeta_once_per_replication(self, monkeypatch):
+        # the replication loop calls zeta through this module global, where
+        # the benchmark's per-layer trace times it
+        calls = []
+
+        def counted(A_stack):
+            calls.append(A_stack.shape)
+            return zeta_from_coefficient_stack(A_stack)
+
+        monkeypatch.setattr(tveff.inference, "zeta_from_coefficient_stack", counted)
+        X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=8))
+        spec = BootstrapSpec(replications=100, coverage=0.9, seed=2, q=2)
+        path = tv_efficiency_path(solve_tvvar(X, q=2, lam=spec.lam))
+        bootstrap_bands(X, spec, pretested=True, path=path)
+        assert calls == [(118, 2, 2, 2)] * 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_band_order_statistics_match_full_sort(self, data):
+        # NaN orders after +inf, as in np.sort
+        B = data.draw(st.integers(100, 110))
+        m = data.draw(st.integers(1, 3))
+        cells = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                          st.floats(-10.0, 10.0))
+        zstar = data.draw(hnp.arrays(np.float64, (B, m), elements=cells, fill=st.nothing()))
+        spec = BootstrapSpec(replications=B, coverage=0.9, q=1)
+        k_lo, k_hi = spec.band_order_statistics()
+        full = np.sort(zstar, axis=0)
+        path = EfficiencyPath(dates=np.arange(m), zeta=np.zeros(m))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tveff.inference, "_null_zeta_paths", lambda values, spec: zstar.copy())
+            ep = bootstrap_bands(np.zeros((m + 1, 1)), spec, pretested=True, path=path)
+        assert np.array_equal(ep.band_lower, full[k_lo - 1], equal_nan=True)
+        assert np.array_equal(ep.band_upper, full[k_hi - 1], equal_nan=True)
+
+
+def null_pseudo_sample(values, stream):
+    """The pseudo-sample a replication draws from ``stream``, spelled out."""
+    mean = values.mean(axis=0)
+    idx = np.random.default_rng(stream).integers(0, values.shape[0], size=values.shape[0])
+    return mean[None, :] + (values - mean)[idx]
+
+
+class TestNullReplications:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])  # n = 4 takes the SVD route
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("zero_series", [False, True])  # True: the anchor branch
+    def test_rows_equal_full_refits(self, n, q, zero_series):
+        T = 5 * n * q + q + 25
+        values = 0.01 * np.random.default_rng([n, q]).standard_normal((T, n))
+        if zero_series:
+            values[:, -1] = 0.0
+        spec = BootstrapSpec(replications=100, seed=n + 10 * q, lam=0.7, q=q)
+        zstar = tveff.inference._null_zeta_paths(values, spec)
+        streams = np.random.SeedSequence(spec.seed).spawn(spec.replications)
+        for b, stream in enumerate(streams):
+            fit = solve_tvvar(null_pseudo_sample(values, stream), q, spec.lam)
+            assert np.array_equal(zstar[b], zeta_from_coefficient_stack(fit.A_path),
+                                  equal_nan=True), b
+
+    def test_workers_split_into_blocks_bit_identical(self):
+        X, _ = gen_returns(ScenarioSpec(kind="iid", T=100, n=2, sigma_eps=0.01, seed=12))
+        one = tveff.inference._null_zeta_paths(
+            X.values, BootstrapSpec(replications=101, seed=4, q=2, workers=1))
+        three = tveff.inference._null_zeta_paths(
+            X.values, BootstrapSpec(replications=101, seed=4, q=2, workers=3))
+        assert np.array_equal(one, three, equal_nan=True)
 
 
 class TestClassifySegments:
