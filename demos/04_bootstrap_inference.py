@@ -26,11 +26,9 @@ X, _ = gen_returns(spec)
 
 ###############################################################################
 # 499 replications, 95% equal-tail bands, reproducible from one seed.
-# pretested=True silences the stationarity reminder (run the unit-root
-# test first on real data).
 
 bs = BootstrapSpec(replications=499, coverage=0.95, seed=42, lam=1.0, q=1)
-ep = bootstrap_bands(X, bs, pretested=True)
+ep = bootstrap_bands(X, bs)
 
 share_eff = float(np.mean(ep.efficient_flag))
 print(f"share of periods classified efficient: {share_eff:.3f}")

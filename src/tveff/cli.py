@@ -44,7 +44,7 @@ from .pipeline import (
     var_stage,
 )
 from .series import descriptive_stats
-from .synth import ScenarioSpec, gen_returns, true_zeta_path
+from .synth import SCENARIO_KINDS, ScenarioSpec, gen_returns, true_zeta_path
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,9 +75,13 @@ def _add_order_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q-max", type=int, help="SBIC search bound")
 
 
-def _add_bootstrap_args(p: argparse.ArgumentParser) -> None:
+def _add_lam_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float,
                    help="smoothness ratio (observation / coefficient noise)")
+
+
+def _add_bootstrap_args(p: argparse.ArgumentParser) -> None:
+    _add_lam_arg(p)
     p.add_argument("--replications", type=int)
     p.add_argument("--coverage", type=float)
     p.add_argument("--seed", type=int)
@@ -116,8 +120,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tvvar", help="time-varying VAR efficiency path (no bands)")
     _add_returns_arg(p)
     _add_order_args(p)
-    p.add_argument("--lam", type=float,
-                   help="smoothness ratio (observation / coefficient noise)")
+    _add_lam_arg(p)
     p.add_argument("--coef-out", default=None,
                    help="optional long-format CSV of the coefficient paths")
     _add_io_args(p)
@@ -139,17 +142,17 @@ def build_parser() -> _Parser:
     p.add_argument("--artifacts", default=".", help="directory holding the artifacts")
     p.add_argument("--out", default=None, help="write to file instead of stdout")
 
+    # ScenarioSpec fields; a flag left out keeps the spec's default
     p = sub.add_parser("synth", help="generate a synthetic price CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["iid", "constant-var", "sinusoidal-tv", "randomwalk-tv"])
+    p.add_argument("--kind", required=True, choices=SCENARIO_KINDS)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--sigma-eps", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=0.4)
-    p.add_argument("--period", type=float, default=500.0)
-    p.add_argument("--sigma-v", type=float, default=0.01)
+    p.add_argument("--n", type=int)
+    p.add_argument("--q", type=int)
+    p.add_argument("--sigma-eps", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--period", type=float)
+    p.add_argument("--sigma-v", type=float)
     p.add_argument("--coeff", default=None,
                    help="JSON slope matrices with shape (q, n, n)")
     p.add_argument("--out", default="prices.csv")
@@ -252,7 +255,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_synth(args) -> int:
     # every ScenarioSpec field is the dest of the flag that sets it
-    fields = {name: getattr(args, name) for name in ScenarioSpec.__dataclass_fields__}
+    fields = {name: getattr(args, name) for name in ScenarioSpec.__dataclass_fields__
+              if getattr(args, name) is not None}
     if args.coeff is not None:
         try:
             fields["coeff"] = np.asarray(json.loads(args.coeff), dtype=np.float64)

@@ -21,7 +21,6 @@ runs produce bit-identical bands.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -158,25 +157,17 @@ def _null_zeta_paths(
 def bootstrap_bands(
     X: ReturnMatrix | np.ndarray,
     spec: BootstrapSpec,
-    pretested: bool = False,
     *,
     path: EfficiencyPath | None = None,
 ) -> EfficiencyPath:
     """Efficiency path of ``X`` with equal-tail null bands attached.
 
-    ``pretested=False`` warns that stationarity was not checked first.
     A zero-variance input yields the degenerate all-zero path with
     zero-width bands rather than an error.  A caller that already holds
     ``tv_efficiency_path(solve_tvvar(X, spec.q, spec.lam))`` passes it as
     ``path`` and the bands are attached to it instead of solving the
     original sample again.
     """
-    if not pretested:
-        warnings.warn(
-            "returns were not stationarity-pretested; run the unit-root test first",
-            UserWarning,
-            stacklevel=2,
-        )
     k_lo, k_hi = spec.band_order_statistics()
 
     values, _, _ = _coerce_values(X)

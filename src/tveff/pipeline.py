@@ -401,7 +401,7 @@ def tvvar_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int
 def bootstrap_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int,
                     path: EfficiencyPath | None = None) -> tuple[EfficiencyPath, list[Path]]:
     """Banded efficiency path and its plot data; ``path`` is the solved original sample."""
-    ep = bootstrap_bands(returns, config.bootstrap_spec(q), pretested=True, path=path)
+    ep = bootstrap_bands(returns, config.bootstrap_spec(q), path=path)
     plots = plot_data(ep, out)
     p_csv, p_json = out / "zeta_path.csv", out / "zeta_path.json"
     write_zeta_csv(p_csv, ep)

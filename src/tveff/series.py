@@ -6,11 +6,12 @@ array passes one rule, :func:`_coerce_values`: a :class:`ReturnMatrix` as
 it is, an array as ``x1..xn`` with no dates, a non-finite value rejected.
 
 A price CSV has a header row with one date column (ISO-8601 by default)
-and one or more price columns.  Empty, unparseable or NaN price cells
-are treated as missing and later filled by natural cubic spline interpolation
-over the integer observation index; trading-day spacing, not calendar
-distance, is the metric, so weekend/holiday gaps carry no special weight.
-Dates are otherwise opaque ordered labels.
+and one or more price columns.  Blank or NaN price cells are treated as
+missing and later filled by natural cubic spline interpolation over the
+integer observation index; any other cell that is not a float is a
+``DataError``.  Trading-day spacing, not calendar distance, is the
+metric, so weekend/holiday gaps carry no special weight.  Dates are
+otherwise opaque ordered labels.
 """
 
 from __future__ import annotations
@@ -170,11 +171,13 @@ def _parse_date(cell: str, fmt: str = "%Y-%m-%d") -> np.datetime64:
 
 
 def _parse_price(cell: str, column: str) -> float:
-    """One price cell: NaN when empty, unparseable or NaN; only positive finite values pass."""
+    """One price cell: NaN when blank or NaN; otherwise only a positive finite float passes."""
+    if not cell.strip():
+        return math.nan
     try:
         value = float(cell)
     except ValueError:
-        return math.nan
+        raise ValueError(f"unparseable price {cell!r} in column {column!r}") from None
     if math.isinf(value):
         raise ValueError(f"infinite price {value!r} in column {column!r}")
     if value <= 0:
@@ -185,9 +188,9 @@ def _parse_price(cell: str, column: str) -> float:
 def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
     """Read a dated price CSV into a :class:`PriceSeries`.
 
-    Rows are sorted by date.  Empty, unparseable or NaN price cells
-    become missing entries.  A row whose cell count differs from the
-    header's, an unparseable date, and an infinite, zero or negative
+    Rows are sorted by date.  Blank or NaN price cells become missing
+    entries.  A row whose cell count differs from the header's, an
+    unparseable date, and an unparseable, infinite, zero or negative
     price are rejected with the file name and line number (the column
     too, for a price); so are duplicate dates.
     """

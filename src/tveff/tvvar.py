@@ -87,9 +87,8 @@ class StackedSystem:
     k: int
     lam: float
     regressors: np.ndarray = field(repr=False)  # (m, k)
-    targets: np.ndarray = field(repr=False)  # (m, n)
     labels: tuple[str, ...] = field(repr=False)
-    dates: np.ndarray | None = field(repr=False)  # (m,) datetime64 of the targets, or None
+    dates: np.ndarray | None = field(repr=False)  # (m,) datetime64 of the fitted rows, or None
     _columns: np.ndarray = field(repr=False)  # (m*k, n+1): rhs, then border
     _penalty: np.ndarray = field(repr=False)  # (m, 1): lam^2 times each period's penalty count
 
@@ -133,7 +132,6 @@ class TvVarFit:
     nu: np.ndarray  # (n,)
     A_path: np.ndarray  # (m, q, n, n)
     lam: float
-    residuals: np.ndarray  # (m, n)
     labels: tuple[str, ...]
     dates: np.ndarray | None  # (m,) datetime64 or None
     diagnostics: dict = field(default_factory=dict)
@@ -206,7 +204,7 @@ def _assemble(system: StackedSystem, values: np.ndarray) -> None:
     m, k = system.m, system.k
     q = values.shape[0] - m
     Z = _lagged(values, q, q, out=system.regressors)
-    Y = system.targets = values[q:]
+    Y = values[q:]
 
     rows = system.band.T.reshape(m, k, k + 1)  # rows[t, j, i] = band[i, t*k + j]
     diag = rows[:, :, 0]
@@ -255,7 +253,6 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
         k=k,
         lam=lam,
         regressors=np.empty((m, k)),
-        targets=values[q:],
         labels=labels,
         dates=None if dates is None else dates[q:].copy(),
         _columns=np.empty((m * k, n + 1), order="F"),
@@ -324,22 +321,15 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     """
     ws = _Workspace(X, q, lam)
     nu, cond_est = ws.solve()
-    system, beta = ws.system, ws.beta
-    m, n = system.m, nu.shape[0]
-
-    path4 = beta.reshape(m, q, n, n)  # axes: period, lag, regressor col, equation
-    A_path = np.transpose(path4, (0, 1, 3, 2)).copy()
-    fitted = nu[None, :] + np.einsum("rk,rki->ri", system.regressors, beta.reshape(m, system.k, n))
-    residuals = system.targets - fitted
-
+    n = nu.shape[0]
+    path4 = ws.beta.reshape(ws.system.m, q, n, n)  # axes: period, lag, regressor col, equation
     return TvVarFit(
         q=q,
         nu=nu,
-        A_path=A_path,
+        A_path=np.transpose(path4, (0, 1, 3, 2)).copy(),
         lam=lam,
-        residuals=residuals,
-        labels=system.labels,
-        dates=system.dates,
+        labels=ws.system.labels,
+        dates=ws.system.dates,
         diagnostics={"condition_estimate": cond_est},
     )
 

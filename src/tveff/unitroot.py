@@ -2,14 +2,14 @@
 
 The test statistic is the t-ratio on the lagged level in an ADF
 regression run on a GLS-detrended series.  Detrending quasi-differences
-the data at ``alpha = 1 + c_bar/T`` (``c_bar`` = -7.0 for the
-constant-only model, -13.5 with a linear trend), regresses the
+the data at ``alpha = 1 + c/T`` (``c`` = -7.0 for the constant-only
+model, -13.5 with a linear trend; ``C_BAR``), regresses the
 quasi-differenced series on equally quasi-differenced deterministics,
 and removes the fitted deterministic part in levels.
 
-Lag order is chosen by the modified Bayesian information criterion over
-a common estimation sample so criterion values are comparable across
-candidates; the modified Akaike variant is available behind a flag.
+Lag order is chosen by the modified Bayesian information criterion of
+Ng & Perron (2001) over a common estimation sample, so criterion values
+are comparable across candidates.
 """
 
 from __future__ import annotations
@@ -70,26 +70,22 @@ def _deterministics(T: int, model: str) -> np.ndarray:
     raise DataError(f"model must be 'constant' or 'trend', got {model!r}")
 
 
-def gls_detrend(y: np.ndarray, model: str = "trend", c_bar: float | None = None) -> np.ndarray:
+def gls_detrend(y: np.ndarray, model: str = "trend") -> np.ndarray:
     """Remove GLS-fitted deterministics from ``y``.
 
     Quasi-differences ``y`` and the deterministic terms at
-    ``alpha = 1 + c_bar/T``, estimates the deterministic coefficients on
-    the quasi-differenced pair by least squares, and returns
-    ``y - Z @ delta_hat`` in levels.  A NaN or infinite value in ``y``
+    ``alpha = 1 + C_BAR[model]/T``, estimates the deterministic
+    coefficients on the quasi-differenced pair by least squares, and
+    returns ``y - Z @ delta_hat`` in levels.  A NaN or infinite value in ``y``
     is a :class:`DataError`.
     """
     y = _return_values(y).ravel()
     T = y.shape[0]
     if T < 10:
         raise DataError(f"need at least 10 observations, got {T}")
-    if c_bar is None:
-        c_bar = C_BAR[model] if model in C_BAR else None
-    if c_bar is None or c_bar >= 0:
-        raise DataError("c_bar must be negative")
-    alpha = 1.0 + c_bar / T
-
     z = _deterministics(T, model)
+    alpha = 1.0 + C_BAR[model] / T
+
     ya = np.empty(T)
     ya[0] = y[0]
     ya[1:] = y[1:] - alpha * y[:-1]
@@ -131,17 +127,15 @@ def _adf_regression(yd: np.ndarray, k: int, t_start: int) -> tuple[float, float,
     return float(coef[0]), se0, rss, coef[1:]
 
 
-def mbic_lag_select(y_detrended: np.ndarray, k_max: int, use_maic: bool = False) -> int:
+def mbic_lag_select(y_detrended: np.ndarray, k_max: int) -> int:
     """Choose the ADF lag order by the modified BIC.
 
     All candidate regressions k = 0..k_max share the sample of the
     largest candidate (rows t = k_max+1 .. T-1, 0-based), so the
     criterion values are comparable.  With ``N = T - k_max``,
 
-        MIC(k) = ln(rss_k / N) + C * (tau(k) + k) / N,
-        tau(k) = beta0_k^2 * sum(yd[t-1]^2) / (rss_k / N),
-
-    where C = ln(N) (modified BIC) or C = 2 (modified AIC).
+        MBIC(k) = ln(rss_k / N) + ln(N) * (tau(k) + k) / N,
+        tau(k) = beta0_k^2 * sum(yd[t-1]^2) / (rss_k / N).
     """
     yd = np.asarray(y_detrended, dtype=np.float64).ravel()
     T = yd.shape[0]
@@ -156,7 +150,7 @@ def mbic_lag_select(y_detrended: np.ndarray, k_max: int, use_maic: bool = False)
     if level_energy == 0.0 and not np.any(yd):
         raise DataError("detrended series is identically zero")
 
-    penalty_c = 2.0 if use_maic else float(np.log(n_pen))
+    penalty = float(np.log(n_pen))
     best_k, best_mic = 0, np.inf
     for k in range(k_max + 1):
         beta0, _, rss, _ = _adf_regression(yd, k, t_start)
@@ -164,18 +158,13 @@ def mbic_lag_select(y_detrended: np.ndarray, k_max: int, use_maic: bool = False)
         if sigma2 <= 0:
             raise DataError("zero residual variance in lag-selection regression")
         tau = beta0 * beta0 * level_energy / sigma2
-        mic = float(np.log(sigma2) + penalty_c * (tau + k) / n_pen)
+        mic = float(np.log(sigma2) + penalty * (tau + k) / n_pen)
         if mic < best_mic:
             best_mic, best_k = mic, k
     return best_k
 
 
-def adf_gls(
-    y: np.ndarray,
-    model: str = "trend",
-    k_max: int | None = None,
-    use_maic: bool = False,
-) -> AdfGlsResult:
+def adf_gls(y: np.ndarray, model: str = "trend", k_max: int | None = None) -> AdfGlsResult:
     """GLS-detrended ADF test with automatic lag selection.
 
     After detrending and lag selection the final ADF regression uses the
@@ -190,7 +179,7 @@ def adf_gls(
     scale = float(np.max(np.abs(yd))) if yd.size else 0.0
     if scale == 0.0 or np.var(yd) < 1e-24 * max(1.0, scale) ** 2:
         raise DataError("degenerate input: no variation after GLS detrending")
-    k = mbic_lag_select(yd, k_max=k_max, use_maic=use_maic)
+    k = mbic_lag_select(yd, k_max=k_max)
     beta0, se0, rss, b = _adf_regression(yd, k, t_start=k + 1)
     if rss <= 0 or se0 == 0.0:
         raise DataError("degenerate input: zero residual variance in ADF regression")

@@ -66,10 +66,6 @@ class VarFit:
     def nobs(self) -> int:
         return self.residuals.shape[0]
 
-    @property
-    def n_regressors(self) -> int:
-        return self.regressors.shape[1]
-
 
 @dataclass
 class LongRunMultiplier:
@@ -108,7 +104,8 @@ def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
         SBIC(q) = ln det(Sigma_q) + (ln T* / T*) * q * n^2,   T* = T - q_max.
 
     Only slope parameters are penalized; intercept and covariance terms
-    are constant across q and cancel from the argmin.
+    are constant across q and cancel from the argmin.  Each candidate is
+    the :func:`fit_var` of the rows from ``q_max - q`` on.
     """
     values, _, _ = _coerce_values(X)
     T, n = values.shape
@@ -118,14 +115,9 @@ def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
     if t_star < 10 * (1 + n * q_max):
         raise DataError(f"sample too short for q_max={q_max} (T*={t_star})")
 
-    Y = values[q_max:]
     best_q, best_crit = 1, np.inf
     for q in range(1, q_max + 1):
-        W = np.column_stack([np.ones(t_star), _lagged(values, q, q_max)])
-        coef, *_ = np.linalg.lstsq(W, Y, rcond=None)
-        resid = Y - W @ coef
-        sigma = resid.T @ resid / t_star
-        sign, logdet = np.linalg.slogdet(sigma)
+        sign, logdet = np.linalg.slogdet(fit_var(values[q_max - q:], q).sigma)
         if sign <= 0:
             raise NumericalError(f"singular residual covariance at q={q}")
         crit = float(logdet + (np.log(t_star) / t_star) * q * n * n)

@@ -116,7 +116,7 @@ def _calibration_exceedance(n_seeds: int) -> np.ndarray:
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=500, n=2, sigma_eps=0.01,
                                         seed=10_000 + s))
         spec = BootstrapSpec(replications=299, coverage=0.95, seed=s, lam=1.0, q=1)
-        ep = bootstrap_bands(X, spec, pretested=True)
+        ep = bootstrap_bands(X, spec)
         use = np.isfinite(ep.zeta)
         exc.append(float(np.mean(ep.zeta[use] > ep.band_upper[use])))
     return np.asarray(exc)
@@ -162,7 +162,7 @@ def test_criterion_5_bootstrap_power():
                                         amplitude=amplitude, period=period))
         spec = BootstrapSpec(replications=499, coverage=0.95, seed=777 + s,
                              lam=1.0, q=1)
-        ep = bootstrap_bands(X, spec, pretested=True)
+        ep = bootstrap_bands(X, spec)
         above = np.isfinite(ep.zeta) & (ep.zeta > ep.band_upper)
         hits = [bool(above[a:b + 1].any()) for a, b in wins]
         window_hits.extend(hits)

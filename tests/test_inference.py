@@ -105,55 +105,49 @@ class TestBootstrapBands:
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=1))
         spec1 = BootstrapSpec(replications=120, coverage=0.9, seed=9, q=1, workers=1)
         spec4 = BootstrapSpec(replications=120, coverage=0.9, seed=9, q=1, workers=4)
-        ep1 = bootstrap_bands(X, spec1, pretested=True)
-        ep4 = bootstrap_bands(X, spec4, pretested=True)
+        ep1 = bootstrap_bands(X, spec1)
+        ep4 = bootstrap_bands(X, spec4)
         assert np.array_equal(ep1.band_lower, ep4.band_lower)
         assert np.array_equal(ep1.band_upper, ep4.band_upper)
         ep1b = bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9,
-                                                seed=9, q=1), pretested=True)
+                                                seed=9, q=1))
         assert np.array_equal(ep1.band_lower, ep1b.band_lower)
 
     def test_given_path_gets_the_same_bands(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=7))
         spec = BootstrapSpec(replications=120, coverage=0.9, seed=3, q=2)
         for data in (X, X.values):  # an array's path is dated by position on both routes
-            own = bootstrap_bands(data, spec, pretested=True)
+            own = bootstrap_bands(data, spec)
             path = tv_efficiency_path(solve_tvvar(data, q=2, lam=spec.lam))
-            given = bootstrap_bands(data, spec, pretested=True, path=path)
+            given = bootstrap_bands(data, spec, path=path)
             for name in ("dates", "zeta", "band_lower", "band_upper", "efficient_flag"):
                 assert np.array_equal(getattr(given, name), getattr(own, name)), name
         np.testing.assert_array_equal(own.dates, np.arange(len(own)))
         with pytest.raises(DataError, match="periods"):
             bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, seed=3, q=1),
-                            pretested=True, path=path)
+                            path=path)
 
     def test_band_monotonicity_in_coverage(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=150, n=1, sigma_eps=0.01, seed=2))
         wide = bootstrap_bands(X, BootstrapSpec(replications=2000, coverage=0.99,
-                                                seed=3, q=1), pretested=True)
+                                                seed=3, q=1))
         narrow = bootstrap_bands(X, BootstrapSpec(replications=2000, coverage=0.95,
-                                                  seed=3, q=1), pretested=True)
+                                                  seed=3, q=1))
         assert (wide.band_lower <= narrow.band_lower + 1e-15).all()
         assert (wide.band_upper >= narrow.band_upper - 1e-15).all()
 
     def test_degenerate_zero_input(self):
         ep = bootstrap_bands(np.zeros((100, 2)),
-                             BootstrapSpec(replications=120, coverage=0.9, seed=0, q=1),
-                             pretested=True)
+                             BootstrapSpec(replications=120, coverage=0.9, seed=0, q=1))
         np.testing.assert_array_equal(ep.zeta, 0.0)
         np.testing.assert_array_equal(ep.band_lower, 0.0)
         np.testing.assert_array_equal(ep.band_upper, 0.0)
         assert ep.efficient_flag.all()
 
-    def test_warns_without_pretest(self):
-        X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=1, sigma_eps=0.01, seed=4))
-        with pytest.warns(UserWarning, match="stationarity"):
-            bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, seed=0, q=1))
-
     def test_efficient_flag_two_sided(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=200, n=1, sigma_eps=0.01, seed=5))
         ep = bootstrap_bands(X, BootstrapSpec(replications=200, coverage=0.9,
-                                              seed=6, q=1), pretested=True)
+                                              seed=6, q=1))
         outside = (ep.zeta < ep.band_lower) | (ep.zeta > ep.band_upper)
         np.testing.assert_array_equal(ep.efficient_flag, ~outside)
 
@@ -170,7 +164,7 @@ class TestBootstrapBands:
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=8))
         spec = BootstrapSpec(replications=100, coverage=0.9, seed=2, q=2)
         path = tv_efficiency_path(solve_tvvar(X, q=2, lam=spec.lam))
-        bootstrap_bands(X, spec, pretested=True, path=path)
+        bootstrap_bands(X, spec, path=path)
         assert calls == [(118, 2, 2, 2)] * 100
 
     @settings(max_examples=60, deadline=None)
@@ -188,7 +182,7 @@ class TestBootstrapBands:
         path = EfficiencyPath(dates=np.arange(m), zeta=np.zeros(m))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tveff.inference, "_null_zeta_paths", lambda values, spec: zstar.copy())
-            ep = bootstrap_bands(np.zeros((m + 1, 1)), spec, pretested=True, path=path)
+            ep = bootstrap_bands(np.zeros((m + 1, 1)), spec, path=path)
         assert np.array_equal(ep.band_lower, full[k_lo - 1], equal_nan=True)
         assert np.array_equal(ep.band_upper, full[k_hi - 1], equal_nan=True)
 

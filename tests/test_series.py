@@ -51,9 +51,13 @@ class TestLoadCsv:
         assert np.isnan(s.prices[1, 0])
 
     def test_unparseable_cell_becomes_missing(self, tmp_path):
-        p = write_csv(tmp_path, "date,a\n2020-01-01,100\n2020-01-02,n/a\n2020-01-03,102\n")
-        s = load_csv(p)
-        assert s.missing_mask[1, 0]
+        # it does not: only a blank or NaN cell is a gap, so a typo is not
+        # silently repaired by the spline
+        for cell in ("n/a", "10O.5"):
+            p = write_csv(tmp_path, f"date,a,b\n2020-01-01,100,5\n2020-01-02,{cell},6\n")
+            with pytest.raises(DataError, match=re.escape(f"{p}: line 3: unparseable price "
+                                                          f"{cell!r} in column 'a'")):
+                load_csv(p)
 
     @pytest.mark.parametrize("cell", ["NaN", "nan", "-nan"])
     def test_nan_cell_becomes_missing(self, tmp_path, cell):
@@ -260,8 +264,7 @@ class TestArrayInput:
         lambda X: fit_var(X, 1),
         lambda X: select_lag_sbic(X, 2),
         lambda X: solve_tvvar(X, q=1, lam=1.0),
-        lambda X: bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, q=1),
-                                  pretested=True),
+        lambda X: bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, q=1)),
     ], ids=["fit_var", "select_lag_sbic", "solve_tvvar", "bootstrap_bands"])
     def test_nan_cell_is_a_data_error(self, call):
         X = np.random.default_rng(5).normal(0, 0.01, size=(80, 2))

@@ -43,12 +43,12 @@ def oracle_adf_rows(yd, k, t_start):
     return coef, rss, se0
 
 
-def oracle_mic_table(yd, k_max, penalty="mbic"):
+def oracle_mic_table(yd, k_max):
     T = len(yd)
     n_pen = T - k_max
     t_start = k_max + 1
     energy = sum(yd[t - 1] ** 2 for t in range(t_start, T))
-    C = np.log(n_pen) if penalty == "mbic" else 2.0
+    C = np.log(n_pen)
     table = []
     for k in range(k_max + 1):
         coef, rss, _ = oracle_adf_rows(yd, k, t_start)
@@ -104,9 +104,9 @@ class TestGlsDetrend:
         with pytest.raises(DataError, match="at least 10"):
             gls_detrend(np.arange(5.0), "constant")
 
-    def test_nonnegative_cbar_rejected(self):
-        with pytest.raises(DataError, match="negative"):
-            gls_detrend(np.arange(20.0), "constant", c_bar=1.0)
+    def test_unknown_model_rejected(self):
+        with pytest.raises(DataError, match="model must be"):
+            gls_detrend(np.arange(20.0), "quadratic")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("test", [gls_detrend, adf_gls])
@@ -138,11 +138,6 @@ class TestMbicLagSelect:
         oracle = int(np.argmin(oracle_mic_table(yd, k_max)))
         assert mine == oracle
         assert mine > 0  # the MA part needs augmentation lags
-
-    def test_maic_flag_matches_oracle(self):
-        yd = np.random.default_rng(99).standard_normal(400)
-        mine = mbic_lag_select(yd, 8, use_maic=True)
-        assert mine == int(np.argmin(oracle_mic_table(yd, 8, penalty="maic")))
 
     def test_scale_invariance(self):
         yd = np.random.default_rng(31).standard_normal(400)

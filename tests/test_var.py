@@ -123,6 +123,21 @@ class TestSelectLagSbic:
         assert q == 1 + int(np.argmin(table))
         assert q == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_oracle_for_each_dimension(self, n):
+        A = np.stack([0.15 * np.eye(n), 0.4 * np.eye(n)])
+        for seed in range(3):
+            X, _ = gen_returns(ScenarioSpec(kind="constant-var", T=1000, n=n, q=2, seed=seed,
+                                            coeff=A))
+            q = select_lag_sbic(X, 4)
+            assert q == 1 + int(np.argmin(oracle_sbic_table(X.values, 4)))
+            assert q == 2
+
+    def test_collinear_series_raise_numerical_error(self):
+        col = np.random.default_rng(4).normal(size=(300, 1))
+        with pytest.raises(NumericalError, match="rank-deficient"):
+            select_lag_sbic(np.hstack([col, 2.0 * col]), 2)
+
     def test_sample_too_short(self):
         with pytest.raises(DataError, match="too short"):
             select_lag_sbic(np.random.default_rng(0).normal(size=(30, 2)), 5)
