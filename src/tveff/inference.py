@@ -9,10 +9,10 @@ degrees are reduced to equal-tail empirical quantiles, taken by an
 in-place partition of the (B, m) replication array.
 
 Each worker refits a contiguous block of replications in one
-preallocated workspace (``tvvar._Workspace``): the pseudo-sample, band,
-factor, right-hand sides and slopes are overwritten in place, through
-the same assembly and solve routines as ``solve_tvvar``, so the
-replicated zeta equal those of full refits bit for bit.
+``StackedSystem`` and one pseudo-sample buffer: every replication
+overwrites them in place through the same ``assemble`` and ``solve`` as
+``solve_tvvar``, so the replicated zeta equal those of full refits bit
+for bit.
 
 Replications draw from streams pre-assigned by spawning the master seed,
 and results are aggregated by replication index, so serial and threaded
@@ -30,8 +30,7 @@ from .errors import DataError
 from .series import ReturnMatrix, _coerce_values, _parse_date, _return_values
 from .tvvar import (
     EfficiencyPath,
-    _assemble,
-    _Workspace,
+    build_stacked_system,
     solve_tvvar,
     tv_efficiency_path,
     zeta_from_coefficient_stack,
@@ -67,8 +66,8 @@ class BootstrapSpec:
             raise DataError(f"replications must be >= 100, got {self.replications}")
         if not 0.0 < self.coverage < 1.0:
             raise DataError(f"coverage must be in (0, 1), got {self.coverage}")
-        if self.lam <= 0:
-            raise DataError("lam must be positive")
+        if not (self.lam > 0 and 0.0 < float(self.lam) * float(self.lam) < np.inf):
+            raise DataError(f"lam must be positive with a finite nonzero square, got {self.lam}")
         if self.q < 1:
             raise DataError("q must be >= 1")
         if self.workers < 1:
@@ -121,9 +120,9 @@ def _null_zeta_paths(
     """(B, m) efficiency degrees of null-resampled pseudo-samples.
 
     Each worker refits a contiguous block of replications in its own
-    ``_Workspace`` and takes zeta straight from the slopes.
+    ``StackedSystem`` and takes zeta straight from its slopes.
     """
-    T, n = values.shape
+    T = values.shape[0]
     q = spec.q
     mean = values.mean(axis=0)
     centered = values - mean
@@ -131,17 +130,16 @@ def _null_zeta_paths(
     zstar = np.empty((spec.replications, T - q))
 
     def block(lo: int, hi: int) -> None:
-        ws = _Workspace(values, q, spec.lam)
+        system = build_stacked_system(values, q, spec.lam)
         pseudo = np.empty_like(values)
-        # (m, q, n, n) view of the slopes: period, lag, equation, regressor
-        A_stack = ws.beta.reshape(T - q, q, n, n).transpose(0, 1, 3, 2)
+        A_stack = system.slopes  # a view: every solve rewrites it in place
         for b in range(lo, hi):
             idx = np.random.default_rng(streams[b]).integers(0, T, size=T)
             np.take(centered, idx, axis=0, out=pseudo)
             pseudo += mean
             _return_values(pseudo)  # rejects a non-finite pseudo-sample
-            _assemble(ws.system, pseudo)
-            ws.solve()
+            system.assemble(pseudo)
+            system.solve()
             zstar[b] = zeta_from_coefficient_stack(A_stack)
 
     blocks = min(spec.workers, spec.replications)

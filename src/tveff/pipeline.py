@@ -389,7 +389,7 @@ def tvvar_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int
     write_zeta_csv(p_tv, path)
     if coef_out is None:
         return path, [p_tv]
-    dates = (fit.dates if fit.dates is not None else np.arange(fit.nobs)).tolist()
+    dates = fit.dates.tolist()
     p_coef = Path(coef_out)
     _write_csv(p_coef, ["date", "lag", "equation", "regressor", "value"], (
         (dates[t], l + 1, fit.labels[i], fit.labels[j], value)

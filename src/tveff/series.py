@@ -241,15 +241,15 @@ def _coerce_values(X: ReturnMatrix | np.ndarray) -> tuple[np.ndarray, tuple[str,
     return values, tuple(f"x{j + 1}" for j in range(values.shape[1])), None
 
 
-def _lagged(values: np.ndarray, q: int, t_start: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Lagged regressors (x'_{t-1}, ..., x'_{t-q}) of rows t >= t_start, shape (T - t_start, n*q).
+def _lagged(values: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Lagged regressors (x'_{t-1}, ..., x'_{t-q}) of rows t >= q, shape (T - q, n*q).
 
     ``out``, if given, is filled and returned instead of a new array.
     """
     T, n = values.shape
-    Z = np.empty((T - t_start, n * q)) if out is None else out
+    Z = np.empty((T - q, n * q)) if out is None else out
     for l in range(1, q + 1):
-        Z[:, (l - 1) * n: l * n] = values[t_start - l: T - l]
+        Z[:, (l - 1) * n: l * n] = values[q - l: T - l]
     return Z
 
 

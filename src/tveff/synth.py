@@ -58,8 +58,14 @@ class ScenarioSpec:
             raise DataError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.T < 1 or self.n < 1 or self.q < 1:
             raise DataError("T, n and q must be positive")
-        if self.sigma_eps <= 0:
-            raise DataError("sigma_eps must be positive")
+        if not 0.0 < self.sigma_eps < np.inf:
+            raise DataError(f"sigma_eps must be positive and finite, got {self.sigma_eps}")
+        if not 0.0 <= self.sigma_v < np.inf:
+            raise DataError(f"sigma_v must be finite and >= 0, got {self.sigma_v}")
+        if not 0.0 < self.period < np.inf:
+            raise DataError(f"period must be positive and finite, got {self.period}")
+        if not np.isfinite(self.amplitude):
+            raise DataError(f"amplitude must be finite, got {self.amplitude}")
         if self.coeff is not None:
             self.coeff = np.asarray(self.coeff, dtype=np.float64)
             if self.coeff.shape != (self.q, self.n, self.n):
@@ -67,6 +73,8 @@ class ScenarioSpec:
                     f"coeff must have shape {(self.q, self.n, self.n)}, "
                     f"got {self.coeff.shape}"
                 )
+            if not np.isfinite(self.coeff).all():
+                raise DataError("coeff must be finite")
 
 
 def _companion_radius(A_t: np.ndarray) -> float:

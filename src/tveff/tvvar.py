@@ -65,32 +65,35 @@ _DOUBLE_ROOT_MARGIN = 1e-6
 
 @dataclass
 class StackedSystem:
-    """Per-equation normal equations in banded-plus-border form.
+    """Per-equation normal equations in banded-plus-border form, and their solver.
 
     ``band`` stores the lower band of the block-tridiagonal matrix M
     (scipy layout: band[i, j] = M[j+i, j]); ``border`` is the column
     coupling the states to the shared intercept, whose own diagonal
-    entry is ``corner``.  Right-hand sides are per equation.
+    entry is m.  Right-hand sides are per equation.
 
-    The arrays are buffers that ``_assemble`` refills from any sample of
-    the same shape.  ``band`` is in Fortran order, and ``rhs`` and
-    ``border`` are the columns of one Fortran-order (m*k, n+1) array, so
-    LAPACK factors and solves them in place; the data-free parts (the
-    smoothness penalty on the diagonal, the -lam^2 cross row) are
-    written once.
+    The system is its own workspace: ``assemble`` refills every
+    data-dependent entry from a sample of the same shape, and ``solve``
+    writes the slopes into ``beta``, so a refit allocates no band,
+    factor, right-hand sides or slopes.  ``band`` is never overwritten
+    (it is factored in a copy); ``rhs`` and ``border`` hold their
+    solutions after ``solve`` until ``assemble`` refills them.  ``band``
+    is in Fortran order, and ``rhs`` and ``border`` are the columns of
+    one Fortran-order (m*k, n+1) array, so LAPACK factors and solves
+    them in place; the data-free parts (the smoothness penalty on the
+    diagonal, the -lam^2 cross row) are written once.
     """
 
     band: np.ndarray  # (k+1, m*k), Fortran order
-    corner: float
     rhs_border: np.ndarray  # (n,)
     m: int
     k: int
     lam: float
     regressors: np.ndarray = field(repr=False)  # (m, k)
-    labels: tuple[str, ...] = field(repr=False)
-    dates: np.ndarray | None = field(repr=False)  # (m,) datetime64 of the fitted rows, or None
+    beta: np.ndarray = field(repr=False)  # (m*k, n): slopes of each equation, from solve
     _columns: np.ndarray = field(repr=False)  # (m*k, n+1): rhs, then border
     _penalty: np.ndarray = field(repr=False)  # (m, 1): lam^2 times each period's penalty count
+    _factor: np.ndarray = field(repr=False)  # band-shaped Cholesky factor
 
     @property
     def rhs(self) -> np.ndarray:  # (m*k, n)
@@ -99,6 +102,12 @@ class StackedSystem:
     @property
     def border(self) -> np.ndarray:  # (m*k,)
         return self._columns[:, -1]
+
+    @property
+    def slopes(self) -> np.ndarray:
+        """``beta`` viewed as (m, q, n, n): period, lag, equation, regressor."""
+        n = self.beta.shape[1]
+        return self.beta.reshape(self.m, self.k // n, n, n).transpose(0, 1, 3, 2)
 
     def dense(self, equation: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the full bordered normal matrix and one equation's rhs.
@@ -114,9 +123,68 @@ class StackedSystem:
                 M[j, j + i] = self.band[i, j]
         M[:N, N] = self.border
         M[N, :N] = self.border
-        M[N, N] = self.corner
+        M[N, N] = self.m
         b = np.concatenate([self.rhs[:, equation], [self.rhs_border[equation]]])
         return M, b
+
+    def assemble(self, values: np.ndarray) -> None:
+        """Fill every data-dependent entry from ``values`` (T, n), in place.
+
+        The one assembly routine: ``build_stacked_system`` runs it on the
+        sample, the bootstrap on each pseudo-sample of the same shape.
+        """
+        m, k = self.m, self.k
+        q = values.shape[0] - m
+        Z = _lagged(values, q, out=self.regressors)
+        Y = values[q:]
+
+        rows = self.band.T.reshape(m, k, k + 1)  # rows[t, j, i] = band[i, t*k + j]
+        diag = rows[:, :, 0]
+        np.multiply(Z, Z, out=diag)
+        diag += self._penalty
+        zero_cols = ~np.any(Z != 0.0, axis=0)
+        if zero_cols.any():
+            diag[0, zero_cols] += self.lam * self.lam  # anchor data-free components at zero
+        for i in range(1, k):
+            np.multiply(Z[:, i:], Z[:, : k - i], out=rows[:, : k - i, i])
+
+        np.multiply(Z[:, :, None], Y[:, None, :], out=self.rhs.reshape(m, k, -1))
+        self.border[:] = Z.ravel()
+        np.sum(Y, axis=0, out=self.rhs_border)
+
+    def solve(self) -> tuple[np.ndarray, float]:
+        """Slopes into ``beta``; return the intercepts and a condition estimate.
+
+        Banded Cholesky of the band, one solve for every right-hand side
+        and the border, then Schur-complement bordering for the
+        intercept.  A sample with T-q < 5*n*q is rejected first.
+        """
+        m, k = self.m, self.k
+        if m < 5 * k:
+            raise DataError(f"sample too short for TV-VAR: T-q={m} < 5*n*q={5 * k}")
+        np.copyto(self._factor, self.band)
+        try:
+            factor = cholesky_banded(self._factor, overwrite_ab=True, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "normal matrix is not positive definite "
+                f"(m={m}, k={k}, lam={self.lam}); regressors may be collinear"
+            ) from exc
+        fdiag = factor[0]
+        cond_est = float((fdiag.max() / fdiag.min()) ** 2)
+        if not np.isfinite(cond_est) or cond_est > 1e30:
+            raise NumericalError(f"normal matrix numerically singular (cond~{cond_est:.3e})")
+
+        sol = cho_solve_banded((factor, True), self._columns, overwrite_b=True)
+        U, w = sol[:, :-1], sol[:, -1]
+        border = self.regressors.ravel()  # the border's values; the column now holds w
+
+        denom = m - float(border @ w)
+        if denom <= 0:
+            raise NumericalError("intercept Schur complement is not positive")
+        nu = (self.rhs_border - border @ U) / denom
+        np.subtract(U, np.outer(w, nu, out=self.beta), out=self.beta)
+        return nu, cond_est
 
 
 @dataclass
@@ -195,50 +263,24 @@ class EfficiencyPath:
         return replace(self, band_lower=lower, band_upper=upper)
 
 
-def _assemble(system: StackedSystem, values: np.ndarray) -> None:
-    """Fill every data-dependent entry of ``system`` from ``values`` (T, n), in place.
-
-    The one assembly routine: ``build_stacked_system`` runs it on the
-    sample, the bootstrap on each pseudo-sample of the same shape.
-    """
-    m, k = system.m, system.k
-    q = values.shape[0] - m
-    Z = _lagged(values, q, q, out=system.regressors)
-    Y = values[q:]
-
-    rows = system.band.T.reshape(m, k, k + 1)  # rows[t, j, i] = band[i, t*k + j]
-    diag = rows[:, :, 0]
-    np.multiply(Z, Z, out=diag)
-    diag += system._penalty
-    zero_cols = ~np.any(Z != 0.0, axis=0)
-    if zero_cols.any():
-        diag[0, zero_cols] += system.lam * system.lam  # anchor data-free components at zero
-    for i in range(1, k):
-        np.multiply(Z[:, i:], Z[:, : k - i], out=rows[:, : k - i, i])
-
-    np.multiply(Z[:, :, None], Y[:, None, :], out=system.rhs.reshape(m, k, -1))
-    system.border[:] = Z.ravel()
-    np.sum(Y, axis=0, out=system.rhs_border)
-
-
 def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> StackedSystem:
     """Assemble the penalized normal equations for every equation at once.
 
     The regressors are shared across equations, so a single band and
     border serve all right-hand sides.
     """
-    values, labels, dates = _coerce_values(X)
+    values, _, _ = _coerce_values(X)
     T, n = values.shape
     if q < 1:
         raise DataError("q must be >= 1")
-    if lam <= 0:
-        raise DataError(f"lambda must be positive, got {lam}")
+    lam2 = float(lam) * float(lam)  # in floats: an int's exact square never exceeds inf
+    if not (lam > 0 and 0.0 < lam2 < np.inf):
+        raise DataError(f"lam (lambda) must be positive with a finite nonzero square, got {lam}")
     m = T - q
     if m < 2:
         raise DataError(f"need at least q+2 observations, got T={T}")
     k = n * q
 
-    lam2 = lam * lam
     penalty_count = np.full(m, 2.0)
     penalty_count[0] = 1.0
     penalty_count[-1] = 1.0
@@ -247,70 +289,18 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
 
     system = StackedSystem(
         band=band,
-        corner=float(m),
         rhs_border=np.empty(n),
         m=m,
         k=k,
         lam=lam,
         regressors=np.empty((m, k)),
-        labels=labels,
-        dates=None if dates is None else dates[q:].copy(),
+        beta=np.empty((m * k, n)),
         _columns=np.empty((m * k, n + 1), order="F"),
         _penalty=lam2 * penalty_count[:, None],
+        _factor=np.empty_like(band),
     )
-    _assemble(system, values)
+    system.assemble(values)
     return system
-
-
-class _Workspace:
-    """A stacked system with its factor and slope buffers, solved in place.
-
-    ``solve_tvvar`` solves one once.  The bootstrap keeps one per worker,
-    refills it with ``_assemble`` from each pseudo-sample and solves it
-    again, so no replication allocates a band, a factor, right-hand
-    sides or slopes.
-    """
-
-    def __init__(self, X: ReturnMatrix | np.ndarray, q: int, lam: float):
-        self.system = build_stacked_system(X, q, lam)
-        m, k = self.system.m, self.system.k
-        if m < 5 * k:
-            raise DataError(f"sample too short for TV-VAR: T-q={m} < 5*n*q={5 * k}")
-        self.factor = np.empty_like(self.system.band)
-        self.beta = np.empty(self.system.rhs.shape)  # (m*k, n): slopes of each equation
-
-    def solve(self) -> tuple[np.ndarray, float]:
-        """Slopes into ``beta``; return the intercepts and a condition estimate.
-
-        Banded Cholesky of the band, one solve for every right-hand side
-        and the border, then Schur-complement bordering for the
-        intercept.  The system's ``rhs`` and ``border`` are overwritten
-        by their solutions.
-        """
-        system = self.system
-        np.copyto(self.factor, system.band)
-        try:
-            factor = cholesky_banded(self.factor, overwrite_ab=True, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "normal matrix is not positive definite "
-                f"(m={system.m}, k={system.k}, lam={system.lam}); regressors may be collinear"
-            ) from exc
-        fdiag = factor[0]
-        cond_est = float((fdiag.max() / fdiag.min()) ** 2)
-        if not np.isfinite(cond_est) or cond_est > 1e30:
-            raise NumericalError(f"normal matrix numerically singular (cond~{cond_est:.3e})")
-
-        sol = cho_solve_banded((factor, True), system._columns, overwrite_b=True)
-        U, w = sol[:, :-1], sol[:, -1]
-        border = system.regressors.ravel()  # the border's values; the column now holds w
-
-        denom = system.corner - float(border @ w)
-        if denom <= 0:
-            raise NumericalError("intercept Schur complement is not positive")
-        nu = (system.rhs_border - border @ U) / denom
-        np.subtract(U, np.outer(w, nu, out=self.beta), out=self.beta)
-        return nu, cond_est
 
 
 def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVarFit:
@@ -319,17 +309,16 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     Output is deterministic: identical inputs give bit-identical paths
     regardless of caller threading.
     """
-    ws = _Workspace(X, q, lam)
-    nu, cond_est = ws.solve()
-    n = nu.shape[0]
-    path4 = ws.beta.reshape(ws.system.m, q, n, n)  # axes: period, lag, regressor col, equation
+    values, labels, dates = _coerce_values(X)
+    system = build_stacked_system(values, q, lam)
+    nu, cond_est = system.solve()
     return TvVarFit(
         q=q,
         nu=nu,
-        A_path=np.transpose(path4, (0, 1, 3, 2)).copy(),
+        A_path=system.slopes.copy(),
         lam=lam,
-        labels=ws.system.labels,
-        dates=ws.system.dates,
+        labels=labels,
+        dates=None if dates is None else dates[q:].copy(),
         diagnostics={"condition_estimate": cond_est},
     )
 

@@ -140,7 +140,7 @@ def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
     if T <= q + p:
         raise DataError(f"T={T} too small for VAR({q}) with {n} series")
 
-    W = np.column_stack([np.ones(T - q), _lagged(values, q, q)])  # (1, x'_{t-1}, ..., x'_{t-q})
+    W = np.column_stack([np.ones(T - q), _lagged(values, q)])  # (1, x'_{t-1}, ..., x'_{t-q})
     Y = values[q:]
     # identically-zero regressor columns get zero coefficients; any other
     # rank deficiency is a genuine collinearity problem

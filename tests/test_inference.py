@@ -127,6 +127,18 @@ class TestBootstrapBands:
             bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, seed=3, q=1),
                             path=path)
 
+    def test_given_path_on_a_too_short_sample_rejected(self):
+        # the replications' own solves reject the sample when no solve_tvvar runs first
+        X = np.random.default_rng(4).normal(size=(12, 2))  # T-q = 10 < 5*n*q = 20
+        path = EfficiencyPath(dates=np.arange(10), zeta=np.zeros(10))
+        with pytest.raises(DataError, match="too short"):
+            bootstrap_bands(X, BootstrapSpec(replications=100, coverage=0.9, q=2), path=path)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 1e200, 10**200, 1e-200])
+    def test_spec_rejects_lambda_with_no_finite_nonzero_square(self, lam):
+        with pytest.raises(DataError, match="lam"):
+            BootstrapSpec(replications=100, coverage=0.9, lam=lam)
+
     def test_band_monotonicity_in_coverage(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=150, n=1, sigma_eps=0.01, seed=2))
         wide = bootstrap_bands(X, BootstrapSpec(replications=2000, coverage=0.99,

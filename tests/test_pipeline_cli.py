@@ -423,6 +423,24 @@ class TestCli:
         assert [len(r) for r in rows] == [6, 6, 6]
         assert [r[0] for r in rows] == ["series", "osaka, rice", "b"]
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "1e200", "1e-200"])
+    def test_lambda_with_no_finite_nonzero_square_exit_code_2(self, tmp_path, capsys, lam):
+        X, _ = gen_returns(ScenarioSpec(kind="iid", T=60, n=2, sigma_eps=0.01, seed=1))
+        p_ret = tmp_path / "returns.csv"
+        write_returns_csv(p_ret, X)
+        assert run_cli("tvvar", "--returns", str(p_ret), "--q", "1", "--lam", lam,
+                       "-o", str(tmp_path / "tv")) == 2
+        assert "lam" in capsys.readouterr().err
+        prices, _ = synth_prices(tmp_path)
+        p_cfg = tmp_path / "c.json"
+        p_cfg.write_text(json.dumps({"input_path": str(prices), "replications": 120,
+                                     "coverage": 0.9, "output_dir": str(tmp_path / "run"),
+                                     "lam": float(lam)}))  # json writes NaN and Infinity
+        assert run_cli("run", "--config", str(p_cfg)) == 2
+        err = capsys.readouterr().err
+        assert "lam" in err and "ingest" not in err  # rejected before any stage
+        assert not (tmp_path / "run").exists()
+
     def test_synth_true_zeta_csv(self, tmp_path):
         p_zeta = tmp_path / "true_zeta.csv"
         assert run_cli("synth", "--kind", "randomwalk-tv", "--T", "80", "--n", "2",

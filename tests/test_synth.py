@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tveff.cli import main
 from tveff.errors import DataError
 from tveff.synth import ScenarioSpec, gen_returns, true_zeta_path
 
@@ -21,6 +22,30 @@ class TestScenarioSpec:
         with pytest.raises(DataError, match="explosive"):
             gen_returns(ScenarioSpec(kind="constant-var", T=100, n=1, q=1,
                                      coeff=np.array([[[1.2]]])))
+
+    @pytest.mark.parametrize("key,value", [
+        ("sigma_v", -1.0), ("sigma_v", np.nan), ("sigma_v", np.inf),
+        ("period", 0.0), ("period", -5.0), ("period", np.nan), ("period", np.inf),
+        ("amplitude", np.nan), ("amplitude", np.inf),
+        ("sigma_eps", 0.0), ("sigma_eps", np.nan), ("sigma_eps", np.inf),
+        ("coeff", [[[np.nan]]]), ("coeff", [[[np.inf]]]),
+    ])
+    def test_parameter_out_of_range_rejected(self, key, value):
+        with pytest.raises(DataError, match=key):
+            ScenarioSpec(kind="sinusoidal-tv", T=100, **{key: value})
+
+    @pytest.mark.parametrize("args", [
+        ("--kind", "randomwalk-tv", "--sigma-v", "-1"),
+        ("--kind", "randomwalk-tv", "--sigma-v", "nan"),
+        ("--kind", "sinusoidal-tv", "--period", "0"),
+        ("--kind", "sinusoidal-tv", "--amplitude", "nan"),
+    ])
+    def test_cli_exit_code_2_names_the_parameter(self, tmp_path, capsys, args):
+        out = tmp_path / "p.csv"
+        assert main(["synth", "--T", "300", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert args[2].removeprefix("--").replace("-", "_") in err
+        assert not out.exists()
 
 
 class TestGenReturns:

@@ -5,10 +5,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tveff
-from tveff.pipeline import PipelineConfig
+from tveff.pipeline import PipelineConfig, _write_dated_csv, run_pipeline
+from tveff.synth import ScenarioSpec, gen_returns
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
@@ -48,6 +50,28 @@ def test_readme_config_keys_are_the_config_fields():
     section = text.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
     listing = re.sub(r"\([^)]*\)", "", section).split(". ", 1)[0]
     assert sorted(re.findall(r"`(\w+)`", listing)) == sorted(PipelineConfig.__dataclass_fields__)
+
+
+def readme_artifact_names() -> list[str]:
+    """Names in the first paragraph of README's "Artifacts", ``a.{csv,json}`` expanded."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listing = text.split("### Artifacts\n", 1)[1].strip().split("\n\n", 1)[0]
+    names = []
+    for name in re.findall(r"`([^`]+)`", listing):
+        stem, brace, exts = name.partition(".{")
+        names += [f"{stem}.{ext}" for ext in exts.rstrip("}").split(",")] if brace else [name]
+    return names
+
+
+def test_readme_artifacts_are_the_written_artifacts(tmp_path):
+    returns, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.02, seed=1))
+    prices = tmp_path / "prices.csv"
+    _write_dated_csv(prices, np.concatenate([[returns.dates[0] - 1], returns.dates]),
+                     np.exp(np.cumsum(np.vstack([np.zeros((1, 2)), returns.values]), axis=0)),
+                     returns.labels)
+    result = run_pipeline(PipelineConfig(input_path=str(prices), output_dir=str(tmp_path / "out"),
+                                         q=1, replications=100, coverage=0.9))
+    assert sorted(readme_artifact_names()) == sorted(p.name for p in result.artifacts)
 
 
 @pytest.mark.parametrize("module", ["tveff"] + [

@@ -103,6 +103,35 @@ class TestBuildStackedSystem:
         with pytest.raises(DataError, match="lambda"):
             build_stacked_system(np.random.default_rng(0).normal(size=(20, 1)), 1, 0.0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 1e200, 10**200, 1e-200, -1.0])
+    def test_lambda_with_no_finite_nonzero_square_rejected(self, lam):
+        # lam^2 overflows to inf above about 1.3e154 and underflows to 0 below 1e-162
+        with pytest.raises(DataError, match="lam"):
+            build_stacked_system(np.random.default_rng(0).normal(size=(20, 1)), 1, lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, "first", "second"]))
+    def test_reassembled_system_equals_a_fresh_one(self, n, q, seed, zero_in):
+        # a system solved on one sample and refilled from another is the
+        # system built from the second, and solves to the same slopes
+        rng = np.random.default_rng(seed)
+        T = 5 * n * q + q + int(rng.integers(0, 8))
+        a, b = rng.normal(size=(T, n)), rng.normal(size=(T, n))
+        if zero_in is not None:  # an all-zero column anchors its regressors at zero
+            (a if zero_in == "first" else b)[:, int(rng.integers(0, n))] = 0.0
+        s = build_stacked_system(a, q, 0.8)
+        s.solve()
+        s.assemble(b)
+        fresh = build_stacked_system(b, q, 0.8)
+        for j in range(n):
+            for got, want in zip(s.dense(j), fresh.dense(j)):
+                np.testing.assert_array_equal(got, want)
+        nu, _ = s.solve()
+        nu_fresh, _ = fresh.solve()
+        np.testing.assert_array_equal(nu, nu_fresh)
+        np.testing.assert_array_equal(s.beta, fresh.beta)
+
     def test_band_matches_dense_blocks(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(15, 2))
