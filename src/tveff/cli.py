@@ -265,9 +265,13 @@ def _cmd_synth(args) -> int:
     spec = ScenarioSpec(**fields)
     returns, path = gen_returns(spec)
     # prices that reproduce the generated returns under the ingest step
-    levels = 100.0 * np.exp(np.concatenate(
-        [np.zeros((1, returns.n_columns)), np.cumsum(returns.values, axis=0)]
-    ))
+    with np.errstate(over="ignore"):
+        levels = 100.0 * np.exp(np.concatenate(
+            [np.zeros((1, returns.n_columns)), np.cumsum(returns.values, axis=0)]
+        ))
+    if not (np.isfinite(levels) & (levels > 0)).all():
+        raise DataError(f"sigma_eps={spec.sigma_eps:g} gives returns whose price levels "
+                        "overflow to 0 or inf; use a smaller sigma_eps")
     dates = np.concatenate([[returns.dates[0] - np.timedelta64(1, "D")], returns.dates])
     out = Path(args.out)
     if out.parent != Path(""):

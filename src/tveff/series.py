@@ -12,6 +12,12 @@ integer observation index; any other cell that is not a float is a
 ``DataError``.  Trading-day spacing, not calendar distance, is the
 metric, so weekend/holiday gaps carry no special weight.  Dates are
 otherwise opaque ordered labels.
+
+The spline is :func:`_natural_spline`, a step-for-step copy of scipy's
+``CubicSpline(x, y, bc_type="natural")`` that returns the same bits.  It
+is written out here because importing ``scipy.interpolate`` (which also
+loads ``scipy.optimize`` and ``scipy.special``) was about half of every
+``tveff`` command's start-up time; the package needs only ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import DataError
 
@@ -253,13 +259,51 @@ def _lagged(values: np.ndarray, q: int, out: np.ndarray | None = None) -> np.nda
     return Z
 
 
+def _natural_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through the knots ``(x, y)``, evaluated at ``xi``.
+
+    Follows scipy's ``CubicSpline(x, y, bc_type="natural")(xi)`` step by
+    step, so the result is the same bits: the same (3, n) tridiagonal
+    system for the knot slopes, solved by ``solve_banded``; the same
+    Hermite coefficients; PPoly's power-sum evaluation order
+    ((c3 + c2 d) + c1 d^2) + c0 d^3.  Points outside [x[0], x[-1]]
+    extend the end pieces.  As in CubicSpline, knots that are not at
+    least two, finite and strictly increasing, or a non-finite value, are
+    rejected (a ``DataError``).
+    """
+    dx = np.diff(x)
+    if not (x.ndim == 1 and x.shape == y.shape and x.size >= 2
+            and np.isfinite(x).all() and (dx > 0).all()):
+        raise DataError("spline knots must be at least two, finite and strictly increasing")
+    if not np.isfinite(y).all():
+        raise DataError("non-finite observed price")
+    slope = np.diff(y) / dx
+    A = np.zeros((3, x.size))  # rows: upper diagonal, diagonal, lower diagonal
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    A[1, 0], A[0, 1] = 2 * dx[0], dx[0]  # zero second derivative at both ends
+    A[1, -1], A[-1, -2] = 2 * dx[-1], dx[-1]
+    b = np.empty(x.size)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = 3 * (y[1] - y[0])
+    b[-1] = 3 * (y[-1] - y[-2])
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1 = t / dx, (slope - s[:-1]) / dx - t
+    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, x.size - 2)
+    d = xi - x[i]
+    return ((y[i] + s[i] * d) + c1[i] * (d * d)) + c0[i] * (d * d * d)
+
+
 def interpolate_missing(s: PriceSeries) -> PriceSeries:
     """Fill interior missing cells by natural cubic spline in observation index.
 
     Knots are the non-missing observations of each column; boundary
-    observations must be present (no extrapolation) and at least four
-    support points are required per column.  Non-missing cells are
-    returned unchanged bit-for-bit.
+    observations must be present (no extrapolation), at least four
+    support points are required per column, and every observed price of
+    a column with gaps must be finite.  Non-missing cells are returned
+    unchanged bit-for-bit.
     """
     filled = s.prices.copy()
     idx = np.arange(len(s), dtype=np.float64)
@@ -279,8 +323,11 @@ def interpolate_missing(s: PriceSeries) -> PriceSeries:
                 f"column {s.labels[j]!r}: needs >= 4 observed points, "
                 f"got {int(support.sum())}"
             )
-        spline = CubicSpline(idx[support], s.prices[support, j], bc_type="natural")
-        filled[col_missing, j] = spline(idx[col_missing])
+        try:
+            filled[col_missing, j] = _natural_spline(idx[support], s.prices[support, j],
+                                                     idx[col_missing])
+        except DataError as exc:
+            raise DataError(f"column {s.labels[j]!r}: {exc}") from None
         if (filled[col_missing, j] <= 0).any():
             raise DataError(
                 f"column {s.labels[j]!r}: spline produced a non-positive price"

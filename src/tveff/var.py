@@ -10,15 +10,20 @@ Bartlett-kernel HAC standard errors, and a cumulative-score test of
 parameter constancy against random-walk drift, whose critical values are
 exact quantiles of its limiting law (Hansen 1992), found by inverting the
 law's characteristic function (Imhof 1961).
+
+The quantiles are roots found by :func:`_brentq`, a line-for-line port of
+scipy's ``brentq`` that returns the same bits.  It is written out here
+because importing ``scipy.optimize`` costs start-up time on every
+``tveff`` command; the package needs only ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DataError, NumericalError
 from .series import ReturnMatrix, _coerce_values, _lagged
@@ -228,12 +233,74 @@ def _lc_quantiles(dof: int) -> tuple[float, float, float]:
     # log(sinh w / w), continuous along the path since Re w > 0
     cf = np.exp(-0.5 * dof * (w - np.log(2.0 * w) + np.log(-np.expm1(-2.0 * w))))
 
-    def cdf_excess(x: float, p: float) -> float:
-        return 0.5 - float(weight @ np.imag(np.exp(-1j * u * u * x) * cf)) - p
+    def cdf(x: float) -> float:
+        return 0.5 - float(weight @ np.imag(np.exp(-1j * u * u * x) * cf))
 
     hi = dof / 6.0 + 12.0 * np.sqrt(dof / 45.0) + 1.0  # Q: mean dof/6, variance dof/45
-    return tuple(optimize.brentq(cdf_excess, 0.0, hi, args=(p,), xtol=1e-14)
+    return tuple(_brentq(lambda x, p=p: cdf(x) - p, 0.0, hi, xtol=1e-14)
                  for p in (0.90, 0.95, 0.99))
+
+
+_BRENT_RTOL = 4 * 2.0**-52  # scipy's brentq rtol, 4 eps
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method (inverse quadratic steps).
+
+    A line-for-line port of ``brentq.c`` from scipy (BSD-3-Clause;
+    Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers)
+    with scipy's rtol = 4 eps and 100 iterations: it returns the same
+    bits as ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)``.  A bracket
+    without a sign change, a NaN value of ``f`` and no convergence are a
+    ``NumericalError``.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root search: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericalError(f"root search: f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2  # the tolerance is 2 delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericalError(f"root search: no convergence in 100 iterations in [{xa!r}, {xb!r}]")
+
 
 
 def constancy_critical_values(dof: int) -> dict[str, float]:

@@ -2,6 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.interpolate import CubicSpline
 
 from tveff.errors import DataError
 from tveff.inference import BootstrapSpec, bootstrap_bands
@@ -171,6 +175,64 @@ class TestInterpolate:
             once = interpolate_missing(s)
             twice = interpolate_missing(once)
             np.testing.assert_array_equal(once.prices, twice.prices)
+
+
+def _gap_mask(T, gaps):
+    """(T, len(gaps)) mask with True at each column's listed row indices."""
+    mask = np.zeros((T, len(gaps)), dtype=bool)
+    for j, rows in enumerate(gaps):
+        mask[list(rows), j] = True
+    return mask
+
+
+def _walk(T, n, seed=0):
+    return 100 * np.exp(np.cumsum(np.random.default_rng(seed).normal(0, 0.02, (T, n)), axis=0))
+
+
+@st.composite
+def gappy_prices(draw):
+    """Positive prices and a gap mask that ``interpolate_missing`` accepts."""
+    T, n = draw(st.integers(5, 60)), draw(st.integers(1, 3))
+    prices = draw(hnp.arrays(np.float64, (T, n), elements=st.floats(1e-3, 1e6)))
+    mask = draw(hnp.arrays(np.bool_, (T, n)))
+    mask[0] = mask[-1] = False
+    mask[:, (~mask).sum(axis=0) < 4] = False
+    return prices, mask
+
+
+class TestSplineOracle:
+    """``interpolate_missing`` against scipy's natural CubicSpline: the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=gappy_prices())
+    @example(case=(_walk(9, 1), _gap_mask(9, [range(1, 6)])))  # exactly 4 support points
+    @example(case=(_walk(40, 2, 1), _gap_mask(40, [[17], []])))  # one gap, in one column only
+    @example(case=(_walk(500, 2, 2),  # long runs of gaps
+                   _gap_mask(500, [range(3, 240), [*range(1, 150), *range(300, 499)]])))
+    @example(case=(_walk(30, 3, 3), _gap_mask(30, [[], [], range(2, 28, 2)])))  # long alternating run
+    def test_matches_scipy_cubic_spline(self, case):
+        prices, mask = case
+        with_nan = np.where(mask, np.nan, prices)
+        idx = np.arange(len(prices), dtype=np.float64)
+        expected = prices.copy()
+        for j in range(prices.shape[1]):
+            if mask[:, j].any():
+                support = ~mask[:, j]
+                expected[mask[:, j], j] = CubicSpline(idx[support], prices[support, j],
+                                                      bc_type="natural")(idx[mask[:, j]])
+        s = make_series(with_nan)
+        if (expected[mask] <= 0).any():
+            with pytest.raises(DataError, match="non-positive"):
+                interpolate_missing(s)
+            return
+        assert np.array_equal(interpolate_missing(s).prices, expected)
+
+    def test_infinite_observed_price_rejected(self):
+        # PriceSeries takes +inf as a positive price; the spline must not
+        prices = _walk(12, 2)
+        prices[3, 1], prices[6, 1] = np.inf, np.nan
+        with pytest.raises(DataError, match=r"column 'p1'.*non-finite"):
+            interpolate_missing(make_series(prices))
 
 
 class TestLogReturns:

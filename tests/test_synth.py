@@ -48,6 +48,16 @@ class TestScenarioSpec:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+    def test_cli_overflowing_price_levels_rejected(self, tmp_path, capsys):
+        # 1e300-sized returns: exp of their cumulative sum is 0 or inf
+        out = tmp_path / "p.csv"
+        assert main(["synth", "--kind", "sinusoidal-tv", "--T", "300",
+                     "--sigma-eps", "1e300", "--out", str(out)]) == 2
+        assert "sigma_eps" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGenReturns:
     def test_iid_truth_is_zero(self):
         X, path = gen_returns(ScenarioSpec(kind="iid", T=200, n=2, seed=0))

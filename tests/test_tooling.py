@@ -1,7 +1,9 @@
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +44,17 @@ def test_traced_counts_name_wrapped_spans(monkeypatch):
     spans = {f"{fn.__module__.removeprefix('tveff.')}.{fn.__name__}"
              for fn in patched_functions(traced).values()}
     assert set(traced.COUNTS) <= spans
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # scipy.interpolate alone once took about 0.4 s of every tveff start-up
+    code = ("import sys, tveff.cli; print(' '.join(m for m in sys.modules if m in "
+            "('scipy.interpolate', 'scipy.optimize', 'scipy.special', 'scipy.stats')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert loaded == []
 
 
 def test_readme_config_keys_are_the_config_fields():

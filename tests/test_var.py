@@ -1,10 +1,16 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
+import tveff.var
 from tveff.errors import DataError, NumericalError
 from tveff.synth import ScenarioSpec, gen_returns
 from tveff.var import (
+    _brentq,
+    _lc_quantiles,
     constancy_critical_values,
     efficiency_degree,
     fit_var,
@@ -277,6 +283,60 @@ class TestHansenLc:
         cv = constancy_critical_values(dof)
         for level, p in (("10%", 0.10), ("5%", 0.05), ("1%", 0.01)):
             assert abs(np.mean(q > cv[level]) - p) < 4 * np.sqrt(p * (1 - p) / draws)
+
+
+class TestBrentq:
+    """``_brentq`` against ``scipy.optimize.brentq``: the same bits."""
+
+    def test_matches_scipy_on_the_lc_cdf(self, monkeypatch):
+        roots = []
+
+        def both(f, a, b, xtol):
+            ours = _brentq(f, a, b, xtol)
+            assert ours == optimize.brentq(f, a, b, xtol=xtol)
+            roots.append(ours)
+            return ours
+
+        monkeypatch.setattr(tveff.var, "_brentq", both)
+        for dof in [*range(1, 201), 600, 3000]:
+            _lc_quantiles.__wrapped__(dof)  # uncached: every root is searched
+        assert len(roots) == 3 * 202
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+        (lambda x: x * x - 2.0, 2.0, 0.0),  # reversed bracket
+        (lambda x: math.atan(x - 1e-3), -1e3, 1e2),
+        (lambda x: math.tanh(50.0 * (x - 0.7)), -3.0, 1.0),
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),  # flat root
+        (lambda x: x - 1.0, 1.0, 3.0),  # root at the left end
+        (lambda x: x - 3.0, 1.0, 3.0),  # root at the right end
+    ])
+    @pytest.mark.parametrize("xtol", [2e-12, 1e-14, 1e-3])
+    def test_matches_scipy_on_closed_forms(self, f, a, b, xtol):
+        def outcome(solve):  # the root, or the same failure after 100 iterations
+            try:
+                return solve()
+            except (NumericalError, RuntimeError) as exc:
+                assert re.search("converge", str(exc), re.IGNORECASE)
+                return "no convergence"
+
+        assert (outcome(lambda: _brentq(f, a, b, xtol))
+                == outcome(lambda: optimize.brentq(f, a, b, xtol=xtol)))
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(NumericalError, match="same sign"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_no_convergence_rejected(self):
+        # scipy's brentq raises "failed to converge" on the same call
+        with pytest.raises(NumericalError, match="no convergence"):
+            _brentq(lambda x: (x - 0.3) ** 5, 0.0, 1.0, 1e-300)
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(NumericalError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
 
 
 class TestLongRunMultiplier:
