@@ -63,7 +63,7 @@ class PriceSeries:
 
     NaN is the only record of a gap: ``missing_mask`` is derived from
     ``prices``.  Dates are strictly increasing; every observed price is
-    positive.
+    positive and finite.
     """
 
     dates: np.ndarray  # datetime64[D], shape (T,)
@@ -79,9 +79,11 @@ class PriceSeries:
             raise DataError("labels do not match the number of price columns")
         if self.dates.size > 1 and not (np.diff(self.dates) > np.timedelta64(0, "D")).all():
             raise DataError("dates must be strictly increasing with no duplicates")
-        observed = self.prices[~self.missing_mask]
-        if observed.size and not (observed > 0).all():
-            raise DataError("non-missing prices must be positive")
+        valid = self.missing_mask | ((self.prices > 0) & (self.prices < np.inf))
+        bad_columns = np.flatnonzero(~valid.all(axis=0))
+        if bad_columns.size:
+            raise DataError(f"column {self.labels[bad_columns[0]]!r}: "
+                            "non-finite or non-positive observed price")
 
     @property
     def missing_mask(self) -> np.ndarray:

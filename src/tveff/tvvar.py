@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import DataError, NumericalError
-from .series import ReturnMatrix, _coerce_values, _lagged
+from .series import ReturnMatrix, _coerce_values
 
 __all__ = [
     "StackedSystem",
@@ -82,6 +82,14 @@ class StackedSystem:
     one Fortran-order (m*k, n+1) array, so LAPACK factors and solves
     them in place; the data-free parts (the smoothness penalty on the
     diagonal, the -lam^2 cross row) are written once.
+
+    Every per-refit pass runs along the period axis.  The sample is kept
+    as a (n*(q+1), m) buffer with one contiguous row per series and lag:
+    row l*n + j is series j at lag l, so rows 0..n-1 are the targets and
+    rows n.. are the k regressor components (``regressors`` views them as
+    (m, k)).  Each band entry and each right-hand side is one length-m
+    product of two such rows.  ``beta`` is in Fortran order, one
+    contiguous column per equation, and ``slopes`` is a live view of it.
     """
 
     band: np.ndarray  # (k+1, m*k), Fortran order
@@ -89,11 +97,15 @@ class StackedSystem:
     m: int
     k: int
     lam: float
-    regressors: np.ndarray = field(repr=False)  # (m, k)
-    beta: np.ndarray = field(repr=False)  # (m*k, n): slopes of each equation, from solve
+    _lags: np.ndarray = field(repr=False)  # (n*(q+1), m): row l*n + j is series j at lag l
+    beta: np.ndarray = field(repr=False)  # (m*k, n), Fortran order: slopes of each equation
     _columns: np.ndarray = field(repr=False)  # (m*k, n+1): rhs, then border
     _penalty: np.ndarray = field(repr=False)  # (m, 1): lam^2 times each period's penalty count
     _factor: np.ndarray = field(repr=False)  # band-shaped Cholesky factor
+
+    @property
+    def regressors(self) -> np.ndarray:  # (m, k): row t is z_t
+        return self._lags[-self.k:].T
 
     @property
     def rhs(self) -> np.ndarray:  # (m*k, n)
@@ -134,23 +146,29 @@ class StackedSystem:
         sample, the bootstrap on each pseudo-sample of the same shape.
         """
         m, k = self.m, self.k
-        q = values.shape[0] - m
-        Z = _lagged(values, q, out=self.regressors)
-        Y = values[q:]
+        T, n = values.shape
+        q = T - m
+        lags = self._lags
+        for l in range(q + 1):
+            lags[l * n: (l + 1) * n] = values[q - l: T - l].T
+        Y, Z = lags[:n], lags[n:]
 
         rows = self.band.T.reshape(m, k, k + 1)  # rows[t, j, i] = band[i, t*k + j]
-        diag = rows[:, :, 0]
-        np.multiply(Z, Z, out=diag)
-        diag += self._penalty
-        zero_cols = ~np.any(Z != 0.0, axis=0)
+        for j in range(k):
+            np.multiply(Z[j], Z[j], out=rows[:, j, 0])
+            for i in range(1, k - j):
+                np.multiply(Z[j + i], Z[j], out=rows[:, j, i])
+        rows[:, :, 0] += self._penalty
+        zero_cols = ~np.any(Z != 0.0, axis=1)
         if zero_cols.any():
-            diag[0, zero_cols] += self.lam * self.lam  # anchor data-free components at zero
-        for i in range(1, k):
-            np.multiply(Z[:, i:], Z[:, : k - i], out=rows[:, : k - i, i])
+            rows[0, zero_cols, 0] += self.lam * self.lam  # anchor data-free components at zero
 
-        np.multiply(Z[:, :, None], Y[:, None, :], out=self.rhs.reshape(m, k, -1))
-        self.border[:] = Z.ravel()
-        np.sum(Y, axis=0, out=self.rhs_border)
+        for e in range(n):
+            rhs = self.rhs[:, e].reshape(m, k)
+            for j in range(k):
+                np.multiply(Z[j], Y[e], out=rhs[:, j])
+        self.border.reshape(m, k)[:] = Z.T
+        np.sum(values[q:], axis=0, out=self.rhs_border)
 
     def solve(self) -> tuple[np.ndarray, float]:
         """Slopes into ``beta``; return the intercepts and a condition estimate.
@@ -175,15 +193,17 @@ class StackedSystem:
         if not np.isfinite(cond_est) or cond_est > 1e30:
             raise NumericalError(f"normal matrix numerically singular (cond~{cond_est:.3e})")
 
+        border = self.border.copy()  # the solve overwrites the column with w
         sol = cho_solve_banded((factor, True), self._columns, overwrite_b=True)
         U, w = sol[:, :-1], sol[:, -1]
-        border = self.regressors.ravel()  # the border's values; the column now holds w
 
         denom = m - float(border @ w)
         if denom <= 0:
             raise NumericalError("intercept Schur complement is not positive")
         nu = (self.rhs_border - border @ U) / denom
-        np.subtract(U, np.outer(w, nu, out=self.beta), out=self.beta)
+        for e in range(nu.shape[0]):  # beta = U - outer(w, nu), one column at a time
+            np.multiply(w, nu[e], out=self.beta[:, e])
+            np.subtract(U[:, e], self.beta[:, e], out=self.beta[:, e])
         return nu, cond_est
 
 
@@ -293,8 +313,8 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
         m=m,
         k=k,
         lam=lam,
-        regressors=np.empty((m, k)),
-        beta=np.empty((m * k, n)),
+        _lags=np.empty((n * (q + 1), m)),
+        beta=np.empty((m * k, n), order="F"),
         _columns=np.empty((m * k, n + 1), order="F"),
         _penalty=lam2 * penalty_count[:, None],
         _factor=np.empty_like(band),
@@ -421,12 +441,15 @@ def zeta_from_coefficient_stack(A_stack: np.ndarray) -> np.ndarray:
     the singular value route, which serves every period for n >= 4.
     Flagging is therefore decided by singular values alone.
     """
-    n = A_stack.shape[2]
-    # lag by lag: several times faster than .sum(axis=1) over the short
-    # strided lag axis, and the same additions in the same order
-    A_sum = A_stack[:, 0].copy()
-    for l in range(1, A_stack.shape[1]):
-        A_sum += A_stack[:, l]
+    m, q, n, _ = A_stack.shape
+    # lag by lag into a period-contiguous (n, n, m) buffer: the same
+    # additions in the same order as .sum(axis=1), and every later pass
+    # over an entry of the lag sum runs along contiguous periods
+    lags = A_stack.transpose(1, 2, 3, 0)  # (q, n, n, m)
+    summed = np.copy(lags[0], order="C")
+    for l in range(1, q):
+        summed += lags[l]
+    A_sum = summed.transpose(2, 0, 1)  # (m, n, n)
     if n > 3:
         return _zeta_svd(np.eye(n)[None, :, :] - A_sum)
     zeta, cond = _zeta_closed_form(A_sum)

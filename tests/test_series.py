@@ -111,6 +111,21 @@ class TestLoadCsv:
         np.testing.assert_allclose(s.prices[:, 0], [2, 4])
 
 
+class TestPriceSeries:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 0.0, -1.5])
+    def test_observed_price_must_be_positive_and_finite(self, bad):
+        # in a column without gaps, which the spline never inspects
+        prices = _walk(10, 3)
+        prices[4, 2] = bad
+        with pytest.raises(DataError, match=r"column 'p2': non-finite or non-positive"):
+            make_series(prices)
+
+    def test_missing_cells_are_not_checked(self):
+        prices = _walk(10, 2)
+        prices[4, 1] = np.nan
+        assert make_series(prices).missing_mask.sum() == 1
+
+
 class TestInterpolate:
     def test_identity_when_no_missing(self):
         s = make_series([100.0, 101.0, 102.0, 103.0])
@@ -228,7 +243,7 @@ class TestSplineOracle:
         assert np.array_equal(interpolate_missing(s).prices, expected)
 
     def test_infinite_observed_price_rejected(self):
-        # PriceSeries takes +inf as a positive price; the spline must not
+        # rejected where the series is built, before the spline sees it
         prices = _walk(12, 2)
         prices[3, 1], prices[6, 1] = np.inf, np.nan
         with pytest.raises(DataError, match=r"column 'p1'.*non-finite"):

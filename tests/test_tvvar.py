@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from tveff.errors import DataError, NumericalError
+from tveff.series import _lagged
 from tveff.synth import ScenarioSpec, gen_returns
 from tveff.tvvar import (
     _FAST_COND_LIMIT,
@@ -151,6 +153,87 @@ class TestBuildStackedSystem:
                 ref[r * k:(r + 1) * k, (r + 1) * k:(r + 2) * k] = -lam2 * np.eye(k)
                 ref[(r + 1) * k:(r + 2) * k, r * k:(r + 1) * k] = -lam2 * np.eye(k)
         np.testing.assert_allclose(M[:N, :N], ref, atol=1e-12)
+
+
+def row_major_system(values, q, lam):
+    """The system assembled and solved row by row: the reference layout.
+
+    (m, k) regressors from ``_lagged``, each band diagonal as one product
+    of column slices, the right-hand sides by broadcasting, and the
+    intercept bordered by an ``np.outer`` update.  ``StackedSystem`` runs
+    the same operations along the period axis, so every output must be
+    bit-identical.
+    """
+    T, n = values.shape
+    m, k = T - q, n * q
+    lam2 = float(lam) * float(lam)
+    Z, Y = _lagged(values, q), values[q:]
+    penalty_count = np.full(m, 2.0)
+    penalty_count[[0, -1]] = 1.0
+    band = np.zeros((k + 1, m * k), order="F")
+    band[k, : (m - 1) * k] = -lam2
+    rows = band.T.reshape(m, k, k + 1)
+    diag = rows[:, :, 0]
+    np.multiply(Z, Z, out=diag)
+    diag += lam2 * penalty_count[:, None]
+    zero_cols = ~np.any(Z != 0.0, axis=0)
+    if zero_cols.any():
+        diag[0, zero_cols] += lam * lam
+    for i in range(1, k):
+        np.multiply(Z[:, i:], Z[:, : k - i], out=rows[:, : k - i, i])
+    columns = np.empty((m * k, n + 1), order="F")
+    np.multiply(Z[:, :, None], Y[:, None, :], out=columns[:, :-1].reshape(m, k, -1))
+    columns[:, -1] = Z.ravel()
+    assembled = {"band": band, "rhs": columns[:, :-1].copy(), "border": columns[:, -1].copy(),
+                 "rhs_border": np.sum(Y, axis=0)}
+
+    factor = cholesky_banded(band, lower=True)
+    sol = cho_solve_banded((factor, True), columns)
+    U, w = sol[:, :-1], sol[:, -1]
+    border = Z.ravel()
+    nu = (assembled["rhs_border"] - border @ U) / (m - float(border @ w))
+    beta = np.empty((m * k, n))
+    np.subtract(U, np.outer(w, nu, out=beta), out=beta)
+    return assembled, nu, beta
+
+
+class TestRowMajorOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.one_of(st.floats(0.05, 50.0), st.integers(1, 4)),
+           st.sampled_from([None, "first", "second"]))
+    def test_bit_identical_to_row_major_route(self, n, q, seed, lam, zero_in):
+        # built on one sample, then refilled from a second, as a bootstrap
+        # replication does; an all-zero series takes the anchoring branch
+        rng = np.random.default_rng(seed)
+        T = 5 * n * q + q + int(rng.integers(0, 40))
+        a, b = rng.normal(0, 0.02, size=(T, n)), rng.normal(0, 0.02, size=(T, n))
+        if zero_in is not None:
+            (a if zero_in == "first" else b)[:, int(rng.integers(0, n))] = 0.0
+        system = build_stacked_system(a, q, lam)
+        for values in (a, b):
+            if values is b:
+                system.assemble(b)
+            assembled, nu_ref, beta_ref = row_major_system(values, q, lam)
+            for name, want in assembled.items():
+                np.testing.assert_array_equal(getattr(system, name), want, err_msg=name)
+            nu, _ = system.solve()
+            np.testing.assert_array_equal(nu, nu_ref)
+            np.testing.assert_array_equal(system.beta, beta_ref)
+
+    def test_slopes_are_a_live_view_of_beta(self):
+        # the bootstrap takes zeta from ``slopes`` once and relies on each
+        # solve rewriting it in place
+        rng = np.random.default_rng(3)
+        system = build_stacked_system(rng.normal(size=(40, 2)), 2, 1.0)
+        slopes = system.slopes
+        assert np.shares_memory(slopes, system.beta)
+        system.solve()
+        before = slopes.copy()
+        system.assemble(rng.normal(size=(40, 2)))
+        system.solve()
+        assert not np.array_equal(slopes, before)
+        np.testing.assert_array_equal(slopes, system.slopes)
 
 
 class TestSolveTvvar:
@@ -372,6 +455,39 @@ class TestZetaProperties:
         flagged = np.isnan(zeta)
         assert not flagged.any()
         np.testing.assert_allclose(zeta, efficiency_degree(A0), rtol=1e-13, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_stacks(), st.data())
+    def test_same_bits_for_any_memory_layout(self, A, data):
+        # periods on the SVD route: for n >= 2 condition about 4e9
+        # (routed, not flagged) and 1.4e14 (flagged); exactly singular
+        m, q, n, _ = A.shape
+        A = A.copy()
+        hard = []
+        for k in (30, 45):
+            S = np.eye(n)
+            if n == 1:
+                S[0, 0] = 2.0**-k
+            else:
+                S[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 2.0**-k]]
+            hard.append(S)
+        hard.append(np.zeros((n, n)))
+        rows = data.draw(st.lists(st.integers(0, m - 1), max_size=3))
+        for t, S in zip(rows, hard):
+            A[t] = 0.0
+            A[t, 0] = np.eye(n) - S  # the lag sum is exact
+        want = zeta_from_coefficient_stack(np.ascontiguousarray(A))
+
+        # as the bootstrap sees it: slopes viewed from a Fortran-order beta
+        beta = np.asfortranarray(A.transpose(0, 1, 3, 2).reshape(m * q * n, n))
+        from_beta = beta.reshape(m, q, n, n).transpose(0, 1, 3, 2)
+        assert np.shares_memory(from_beta, beta)
+        # a strided slice of a larger array
+        big = np.full((m, 2 * q, n, 2 * n), np.nan)
+        big[:, ::2, :, 1::2] = A
+        sliced = big[:, ::2, :, 1::2]
+        for stack in (from_beta, sliced):
+            np.testing.assert_array_equal(zeta_from_coefficient_stack(stack), want)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40).flatmap(lambda m: st.tuples(*[
