@@ -274,12 +274,13 @@ def _cmd_synth(args) -> int:
                         "overflow to 0 or inf; use a smaller sigma_eps")
     dates = np.concatenate([[returns.dates[0] - np.timedelta64(1, "D")], returns.dates])
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     _write_dated_csv(out, dates, levels, returns.labels)
     print(f"wrote {out} ({spec.kind}, T={spec.T}, n={spec.n}, seed={spec.seed})")
     if args.true_zeta:
-        _write_dated_csv(Path(args.true_zeta), returns.dates, true_zeta_path(path)[:, None],
+        p_zeta = Path(args.true_zeta)
+        p_zeta.parent.mkdir(parents=True, exist_ok=True)
+        _write_dated_csv(p_zeta, returns.dates, true_zeta_path(path)[:, None],
                          ("zeta",))
         print(f"wrote {args.true_zeta}")
     return EXIT_OK

@@ -142,7 +142,10 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(_read_json(path))
+        raw = _read_json(path)
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: config must be a JSON object, got {json.dumps(raw)[:40]}")
+        return cls.from_dict(raw)
 
     def bootstrap_spec(self, q: int) -> BootstrapSpec:
         return BootstrapSpec(
@@ -548,6 +551,8 @@ def _table2_lines(data: dict) -> list[str]:
 def emit_report(artifact_dir: str | Path) -> str:
     """Render the fixed-width text report from written artifacts."""
     out = Path(artifact_dir)
+    if not out.is_dir():
+        raise DataError(f"artifact directory {out} does not exist")
 
     lines: list[str] = ["Market efficiency analysis", "=" * 60, ""]
 

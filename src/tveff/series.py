@@ -249,13 +249,10 @@ def _coerce_values(X: ReturnMatrix | np.ndarray) -> tuple[np.ndarray, tuple[str,
     return values, tuple(f"x{j + 1}" for j in range(values.shape[1])), None
 
 
-def _lagged(values: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Lagged regressors (x'_{t-1}, ..., x'_{t-q}) of rows t >= q, shape (T - q, n*q).
-
-    ``out``, if given, is filled and returned instead of a new array.
-    """
+def _lagged(values: np.ndarray, q: int) -> np.ndarray:
+    """Lagged regressors (x'_{t-1}, ..., x'_{t-q}) of rows t >= q, shape (T - q, n*q)."""
     T, n = values.shape
-    Z = np.empty((T - q, n * q)) if out is None else out
+    Z = np.empty((T - q, n * q))
     for l in range(1, q + 1):
         Z[:, (l - 1) * n: l * n] = values[q - l: T - l]
     return Z

@@ -397,6 +397,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(p) in err and message in err
 
+    def test_report_from_missing_directory_exit_code_2(self, tmp_path, capsys):
+        missing = tmp_path / "nodir"
+        assert run_cli("report", "--artifacts", str(missing)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("text", ["5", "null", "true", '"abc"', "[1, 2]"])
+    def test_config_not_a_json_object_exit_code_2(self, tmp_path, capsys, text):
+        p = tmp_path / "c.json"
+        p.write_text(text, encoding="utf-8")
+        assert run_cli("run", "--config", str(p)) == 2
+        err = capsys.readouterr().err
+        assert f"{p}: config must be a JSON object" in err and err.count("\n") == 1
+
     def test_report_into_missing_directory_exit_code_2(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "r.txt"
         assert run_cli("report", "--artifacts", str(tmp_path), "--out", str(out)) == 2
@@ -451,6 +465,12 @@ class TestCli:
         assert header == ["date", "zeta"]
         assert [r[0] for r in rows] == [str(d) for d in returns.dates]
         np.testing.assert_array_equal([float(r[1]) for r in rows], true_zeta_path(path))
+
+    def test_synth_creates_both_output_directories(self, tmp_path):
+        p_prices, p_zeta = tmp_path / "d1" / "p.csv", tmp_path / "d2" / "z.csv"
+        assert run_cli("synth", "--kind", "iid", "--T", "40", "--out", str(p_prices),
+                       "--true-zeta", str(p_zeta)) == 0
+        assert p_prices.is_file() and p_zeta.is_file()
 
     def test_tvvar_coef_out_csv(self, tmp_path):
         X, _ = gen_returns(ScenarioSpec(kind="sinusoidal-tv", T=60, n=2, sigma_eps=0.02,
