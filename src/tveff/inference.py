@@ -5,8 +5,7 @@ pseudo-samples add the sample mean back to return vectors resampled
 jointly with replacement (joint resampling keeps the contemporaneous
 cross-correlation intact).  Each replication re-runs the full
 time-varying fit, intercept included, and the per-period efficiency
-degrees are reduced to equal-tail empirical quantiles, taken by an
-in-place partition of the (B, m) replication array.
+degrees are reduced to equal-tail empirical quantiles.
 
 Each worker refits a contiguous block of replications in one
 ``StackedSystem`` and one pseudo-sample buffer: every replication
@@ -14,9 +13,17 @@ overwrites them in place through the same ``assemble`` and ``solve`` as
 ``solve_tvvar``, so the replicated zeta equal those of full refits bit
 for bit.
 
-Replications draw from streams pre-assigned by spawning the master seed,
-and results are aggregated by replication index, so serial and threaded
-runs produce bit-identical bands.
+A band is an order statistic, so no (B, m) array of replicated zeta is
+kept.  Each worker appends its rows to one buffer of a few tails' worth
+of rows, and whenever the buffer fills, one in-place partition keeps
+only the k_lo smallest and B - k_hi + 1 largest values of each period.
+The workers' tails are reduced the same way.  Every value that can be a
+band survives each step, so the bands are the exact order statistics of
+all B replications.
+
+Replication b draws from the b-th stream spawned off the master seed,
+and the tail reduction does not depend on the order rows arrive in, so
+serial and threaded runs produce bit-identical bands.
 """
 
 from __future__ import annotations
@@ -50,7 +57,11 @@ __all__ = [
 class BootstrapSpec:
     """Settings for the efficiency-degree bootstrap.
 
-    Whole return vectors are the resampling unit.  ``workers`` > 1 runs
+    Whole return vectors are the resampling unit.  Memory grows with
+    ``replications`` only through the band tails: each worker keeps at
+    most tail + max(2 * tail, 64) rows of m float64, where tail =
+    2 * k_lo + 1 for k_lo of ``band_order_statistics``.  ``seed`` must be
+    non-negative.  ``workers`` > 1 runs
     replications on a thread pool without changing any output bit, but
     gives no speed-up today (measured 1.0x): scipy's banded Cholesky
     wrappers and the short elementwise passes of each refit hold the GIL.
@@ -68,6 +79,8 @@ class BootstrapSpec:
             raise DataError(f"replications must be >= 100, got {self.replications}")
         if not 0.0 < self.coverage < 1.0:
             raise DataError(f"coverage must be in (0, 1), got {self.coverage}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not (self.lam > 0 and 0.0 < float(self.lam) * float(self.lam) < np.inf):
             raise DataError(f"lam must be positive with a finite nonzero square, got {self.lam}")
         if self.q < 1:
@@ -116,42 +129,81 @@ class RegimeSummary:
     counts: np.ndarray
 
 
-def _null_zeta_paths(
-    values: np.ndarray, spec: BootstrapSpec
-) -> np.ndarray:
-    """(B, m) efficiency degrees of null-resampled pseudo-samples.
+def _replicated_zeta(values: np.ndarray, spec: BootstrapSpec, lo: int, hi: int):
+    """Yield the efficiency degrees of null replications ``lo .. hi-1`` in order.
 
-    Each worker refits a contiguous block of replications in its own
-    ``StackedSystem`` and takes zeta straight from its slopes.
+    One ``StackedSystem`` and one pseudo-sample buffer serve the whole
+    block; replication b draws from ``SeedSequence(spec.seed,
+    spawn_key=(b,))``, the b-th child that ``SeedSequence(spec.seed)``
+    spawns.  Each yielded row is a fresh array.
     """
     T = values.shape[0]
-    q = spec.q
     mean = values.mean(axis=0)
     centered = values - mean
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.replications)
-    zstar = np.empty((spec.replications, T - q))
+    system = build_stacked_system(values, spec.q, spec.lam)
+    pseudo = np.empty_like(values)
+    A_stack = system.slopes  # a view: every solve rewrites it in place
+    for b in range(lo, hi):
+        stream = np.random.SeedSequence(spec.seed, spawn_key=(b,))
+        idx = np.random.default_rng(stream).integers(0, T, size=T)
+        np.take(centered, idx, axis=0, out=pseudo)
+        pseudo += mean
+        _return_values(pseudo)  # rejects a non-finite pseudo-sample
+        system.assemble(pseudo)
+        system.solve()
+        yield zeta_from_coefficient_stack(A_stack)
 
-    def block(lo: int, hi: int) -> None:
-        system = build_stacked_system(values, q, spec.lam)
-        pseudo = np.empty_like(values)
-        A_stack = system.slopes  # a view: every solve rewrites it in place
-        for b in range(lo, hi):
-            idx = np.random.default_rng(streams[b]).integers(0, T, size=T)
-            np.take(centered, idx, axis=0, out=pseudo)
-            pseudo += mean
-            _return_values(pseudo)  # rejects a non-finite pseudo-sample
-            system.assemble(pseudo)
-            system.solve()
-            zstar[b] = zeta_from_coefficient_stack(A_stack)
+
+def _keep_tails(rows: np.ndarray, k_lo: int, n_hi: int) -> np.ndarray:
+    """The ``k_lo`` smallest and ``n_hi`` largest of ``rows`` per column.
+
+    Partitions ``rows`` in place along axis 0, NaN last as in ``np.sort``,
+    and returns its first ``k_lo + n_hi`` rows: the ``k_lo`` smallest,
+    their largest in row ``k_lo - 1``, then the ``n_hi`` largest, their
+    smallest in row ``k_lo``.  Fewer rows than that come back untouched.
+    The tails of a union are the tails of the union of its parts' tails,
+    so blocks of rows can be reduced one at a time and in any order.
+    """
+    filled, tail = rows.shape[0], k_lo + n_hi
+    if filled < tail:
+        return rows
+    rows.partition([k_lo - 1, filled - n_hi], axis=0)
+    rows[k_lo:tail] = rows[filled - n_hi:]
+    return rows[:tail]
+
+
+def _null_bands(values: np.ndarray, spec: BootstrapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper band: order statistics k_lo and k_hi of the B replicated paths.
+
+    Each worker streams the rows of its block of replications through
+    one buffer of tail + max(2 * tail, 64) rows, reduced to its tails
+    whenever it fills, and the workers' tails are reduced once more
+    together.
+    """
+    k_lo, k_hi = spec.band_order_statistics()
+    n_hi = spec.replications - k_hi + 1
+    tail = k_lo + n_hi
+    m = values.shape[0] - spec.q
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        buffer = np.empty((min(tail + max(2 * tail, 64), hi - lo), m))
+        filled = 0
+        for zeta in _replicated_zeta(values, spec, lo, hi):
+            if filled == buffer.shape[0]:
+                filled = _keep_tails(buffer, k_lo, n_hi).shape[0]
+            buffer[filled] = zeta
+            filled += 1
+        return _keep_tails(buffer[:filled], k_lo, n_hi)
 
     blocks = min(spec.workers, spec.replications)
     edges = [spec.replications * w // blocks for w in range(blocks + 1)]
     if blocks == 1:
-        block(0, spec.replications)
+        tails = block(0, spec.replications)
     else:
         with ThreadPoolExecutor(max_workers=blocks) as pool:
-            list(pool.map(block, edges[:-1], edges[1:]))
-    return zstar
+            parts = list(pool.map(block, edges[:-1], edges[1:]))
+        tails = _keep_tails(np.concatenate(parts), k_lo, n_hi)
+    return tails[k_lo - 1].copy(), tails[k_lo].copy()
 
 
 def bootstrap_bands(
@@ -168,7 +220,7 @@ def bootstrap_bands(
     ``path`` and the bands are attached to it instead of solving the
     original sample again.
     """
-    k_lo, k_hi = spec.band_order_statistics()
+    spec.band_order_statistics()  # rejects too few replications before any solve
 
     values, _, _ = _coerce_values(X)
     if path is None:
@@ -178,10 +230,7 @@ def bootstrap_bands(
             f"path has {len(path)} periods, expected T-q={values.shape[0] - spec.q}"
         )
 
-    zstar = _null_zeta_paths(values, spec)
-    # in place; NaN orders last, as in np.sort
-    zstar.partition([k_lo - 1, k_hi - 1], axis=0)
-    return path.with_bands(zstar[k_lo - 1].copy(), zstar[k_hi - 1].copy())
+    return path.with_bands(*_null_bands(values, spec))
 
 
 def classify_segments(path: EfficiencyPath, min_run: int = 20) -> list[Segment]:

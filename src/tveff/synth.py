@@ -58,6 +58,8 @@ class ScenarioSpec:
             raise DataError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.T < 1 or self.n < 1 or self.q < 1:
             raise DataError("T, n and q must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.sigma_eps < np.inf:
             raise DataError(f"sigma_eps must be positive and finite, got {self.sigma_eps}")
         if not 0.0 <= self.sigma_v < np.inf:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,11 @@ from tveff.tvvar import (
     tv_efficiency_path,
     zeta_from_coefficient_stack,
 )
+
+
+# cells of replicated zeta: every class the total order must place
+CELLS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                  st.floats(-10.0, 10.0))
 
 
 def make_path(zeta, flags=None, dates=None):
@@ -98,6 +105,10 @@ class TestBootstrapSpec:
     def test_coverage_bounds(self):
         with pytest.raises(DataError, match="coverage"):
             BootstrapSpec(coverage=1.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            BootstrapSpec(seed=-1)
 
 
 class TestBootstrapBands:
@@ -182,21 +193,69 @@ class TestBootstrapBands:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_band_order_statistics_match_full_sort(self, data):
-        # NaN orders after +inf, as in np.sort
-        B = data.draw(st.integers(100, 110))
+        # the replicated rows streamed through the workers' tail buffers
+        # give the order statistics of the full (B, m) array; NaN orders
+        # after +inf, as in np.sort
+        B = data.draw(st.integers(100, 300))
         m = data.draw(st.integers(1, 3))
-        cells = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
-                          st.floats(-10.0, 10.0))
-        zstar = data.draw(hnp.arrays(np.float64, (B, m), elements=cells, fill=st.nothing()))
-        spec = BootstrapSpec(replications=B, coverage=0.9, q=1)
+        coverage = data.draw(st.sampled_from([0.9, 0.6, 0.02]))
+        workers = data.draw(st.integers(1, 4))
+        zstar = data.draw(hnp.arrays(np.float64, (B, m), elements=CELLS, fill=st.nothing()))
+        spec = BootstrapSpec(replications=B, coverage=coverage, q=1, workers=workers)
         k_lo, k_hi = spec.band_order_statistics()
         full = np.sort(zstar, axis=0)
         path = EfficiencyPath(dates=np.arange(m), zeta=np.zeros(m))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tveff.inference, "_null_zeta_paths", lambda values, spec: zstar.copy())
+            mp.setattr(tveff.inference, "_replicated_zeta",
+                       lambda values, spec, lo, hi: iter(zstar[lo:hi].copy()))
             ep = bootstrap_bands(np.zeros((m + 1, 1)), spec, path=path)
         assert np.array_equal(ep.band_lower, full[k_lo - 1], equal_nan=True)
         assert np.array_equal(ep.band_upper, full[k_hi - 1], equal_nan=True)
+
+    def test_peak_memory_below_a_quarter_of_the_replication_array(self):
+        # the replicated zeta are never held as one (B, m) array
+        B, m = 2000, 500
+        X, _ = gen_returns(ScenarioSpec(kind="iid", T=m + 1, n=2, sigma_eps=0.01, seed=4))
+        spec = BootstrapSpec(replications=B, coverage=0.95, seed=1, q=1)
+        path = tv_efficiency_path(solve_tvvar(X, q=1, lam=spec.lam))
+        tracemalloc.start()
+        try:
+            bootstrap_bands(X, spec, path=path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < B * m * 8 / 4, peak  # measured: 1.4 MB
+
+
+class TestKeepTails:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_chunks_match_full_sort(self, data):
+        # rows fed through the reducer in chunks of random sizes and order
+        # keep exactly the k_lo smallest and B - k_hi + 1 largest per column
+        B = data.draw(st.integers(100, 400))
+        m = data.draw(st.integers(1, 3))
+        # 0.001: 2 * k_lo + 1 is B or B - 1, so the tails are nearly all rows
+        coverage = data.draw(st.one_of(st.sampled_from([0.9, 0.001]),
+                                       st.floats(1e-4, 0.9)))
+        zstar = data.draw(hnp.arrays(np.float64, (B, m), elements=CELLS, fill=st.nothing()))
+        sizes = data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=12))
+        edges = [0]
+        while edges[-1] < B:
+            edges.append(min(B, edges[-1] + sizes[(len(edges) - 1) % len(sizes)]))
+        order = data.draw(st.permutations(range(len(edges) - 1)))
+        k_lo, k_hi = BootstrapSpec(replications=B, coverage=coverage).band_order_statistics()
+        n_hi = B - k_hi + 1
+        kept = zstar[:0]
+        for c in order:
+            kept = tveff.inference._keep_tails(
+                np.concatenate([kept, zstar[edges[c]:edges[c + 1]]]), k_lo, n_hi)
+        full = np.sort(zstar, axis=0)
+        assert kept.shape == (k_lo + n_hi, m)
+        assert np.array_equal(kept[k_lo - 1], full[k_lo - 1], equal_nan=True)
+        assert np.array_equal(kept[k_lo], full[k_hi - 1], equal_nan=True)
+        assert np.array_equal(np.sort(kept[:k_lo], axis=0), full[:k_lo], equal_nan=True)
+        assert np.array_equal(np.sort(kept[k_lo:], axis=0), full[k_hi - 1:], equal_nan=True)
 
 
 def null_pseudo_sample(values, stream):
@@ -207,6 +266,14 @@ def null_pseudo_sample(values, stream):
 
 
 class TestNullReplications:
+    @pytest.mark.parametrize("seed,b", [(0, 0), (0, 999), (7, 3), (12345, 4999), (2**40, 17)])
+    def test_stream_on_demand_equals_spawned_child(self, seed, b):
+        spawned = np.random.SeedSequence(seed).spawn(b + 1)[b]
+        direct = np.random.SeedSequence(seed, spawn_key=(b,))
+        assert np.array_equal(direct.generate_state(8), spawned.generate_state(8))
+        assert np.array_equal(np.random.default_rng(direct).integers(0, 2**62, size=16),
+                              np.random.default_rng(spawned).integers(0, 2**62, size=16))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])  # n = 4 takes the SVD route
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("zero_series", [False, True])  # True: the anchor branch
@@ -216,20 +283,24 @@ class TestNullReplications:
         if zero_series:
             values[:, -1] = 0.0
         spec = BootstrapSpec(replications=100, seed=n + 10 * q, lam=0.7, q=q)
-        zstar = tveff.inference._null_zeta_paths(values, spec)
         streams = np.random.SeedSequence(spec.seed).spawn(spec.replications)
+        # a block that starts past replication 0 draws the same streams
+        rows = [*tveff.inference._replicated_zeta(values, spec, 0, 37),
+                *tveff.inference._replicated_zeta(values, spec, 37, 100)]
+        assert len(rows) == spec.replications
         for b, stream in enumerate(streams):
             fit = solve_tvvar(null_pseudo_sample(values, stream), q, spec.lam)
-            assert np.array_equal(zstar[b], zeta_from_coefficient_stack(fit.A_path),
+            assert np.array_equal(rows[b], zeta_from_coefficient_stack(fit.A_path),
                                   equal_nan=True), b
 
     def test_workers_split_into_blocks_bit_identical(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=100, n=2, sigma_eps=0.01, seed=12))
-        one = tveff.inference._null_zeta_paths(
-            X.values, BootstrapSpec(replications=101, seed=4, q=2, workers=1))
-        three = tveff.inference._null_zeta_paths(
-            X.values, BootstrapSpec(replications=101, seed=4, q=2, workers=3))
-        assert np.array_equal(one, three, equal_nan=True)
+        one = bootstrap_bands(X, BootstrapSpec(replications=101, coverage=0.9, seed=4, q=2,
+                                               workers=1))
+        three = bootstrap_bands(X, BootstrapSpec(replications=101, coverage=0.9, seed=4, q=2,
+                                                 workers=3))
+        assert one.band_lower.tobytes() == three.band_lower.tobytes()
+        assert one.band_upper.tobytes() == three.band_upper.tobytes()
 
 
 class TestClassifySegments:

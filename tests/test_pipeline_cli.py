@@ -455,6 +455,29 @@ class TestCli:
         assert "lam" in err and "ingest" not in err  # rejected before any stage
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["run-flag", "run-config", "bootstrap", "synth"])
+    def test_negative_seed_exit_code_2(self, tmp_path, capsys, command):
+        prices, returns = synth_prices(tmp_path)
+        p_ret = tmp_path / "returns.csv"
+        write_returns_csv(p_ret, returns)
+        cfg = {"input_path": str(prices), "output_dir": str(tmp_path / "run"),
+               "replications": 120, "coverage": 0.9}
+        p_cfg = tmp_path / "c.json"
+        p_cfg.write_text(json.dumps({**cfg, "seed": -1} if command == "run-config" else cfg))
+        argv = {
+            "run-flag": ["run", "--config", str(p_cfg), "--seed", "-1"],
+            "run-config": ["run", "--config", str(p_cfg)],
+            "bootstrap": ["bootstrap", "--returns", str(p_ret), "--q", "1",
+                          "--replications", "120", "--coverage", "0.9", "--seed", "-1",
+                          "-o", str(tmp_path / "boot")],
+            "synth": ["synth", "--kind", "iid", "--T", "50", "--seed", "-1",
+                      "--out", str(tmp_path / "synth.csv")],
+        }[command]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "synth.csv").exists()
+
     def test_synth_true_zeta_csv(self, tmp_path):
         p_zeta = tmp_path / "true_zeta.csv"
         assert run_cli("synth", "--kind", "randomwalk-tv", "--T", "80", "--n", "2",

@@ -28,7 +28,7 @@ class TestScenarioSpec:
         ("period", 0.0), ("period", -5.0), ("period", np.nan), ("period", np.inf),
         ("amplitude", np.nan), ("amplitude", np.inf),
         ("sigma_eps", 0.0), ("sigma_eps", np.nan), ("sigma_eps", np.inf),
-        ("coeff", [[[np.nan]]]), ("coeff", [[[np.inf]]]),
+        ("coeff", [[[np.nan]]]), ("coeff", [[[np.inf]]]), ("seed", -1),
     ])
     def test_parameter_out_of_range_rejected(self, key, value):
         with pytest.raises(DataError, match=key):
