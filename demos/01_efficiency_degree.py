@@ -8,7 +8,7 @@ from the identity, as a spectral norm.
 
 import numpy as np
 
-from tveff import efficiency_degree, long_run_multiplier
+from tveff import efficiency_degree
 
 ###############################################################################
 # An efficient market: every slope matrix is zero.
@@ -28,10 +28,10 @@ print("univariate a = 0.5    -> zeta =", efficiency_degree(np.array([[0.5]])))
 
 A = np.array([[0.0072, 0.1740],
               [0.1343, 0.0188]])
-lrm = long_run_multiplier([A])
+S = np.eye(2) - A  # Phi(1) is its inverse
 print("\nbivariate slope matrix:\n", A)
-print("long-run multiplier Phi(1):\n", np.round(lrm.phi1, 4))
-print("condition number     ->", round(lrm.condition, 3))
+print("long-run multiplier Phi(1):\n", np.round(np.linalg.inv(S), 4))
+print("condition number     ->", round(np.linalg.cond(S), 3))
 print("efficiency degree    -> zeta =", round(efficiency_degree([A]), 4))
 
 ###############################################################################

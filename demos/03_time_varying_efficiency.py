@@ -49,5 +49,6 @@ for t in range(0, len(ep), 30):
 # can only flatten the fitted coefficient path.
 
 for lam in (0.5, 1.0, 5.0, 50.0):
-    s = solve_tvvar(X, q=1, lam=lam).smoothness()
+    A_path = solve_tvvar(X, q=1, lam=lam).A_path
+    s = np.sum(np.diff(A_path, axis=0) ** 2)
     print(f"lam = {lam:5.1f} -> sum of squared coefficient increments = {s:.6f}")

@@ -24,12 +24,10 @@ from .unitroot import AdfGlsResult, adf_gls, gls_detrend, mbic_lag_select
 from .var import (
     ConstancyTest,
     HacCovariance,
-    LongRunMultiplier,
     VarFit,
     efficiency_degree,
     fit_var,
     hansen_lc,
-    long_run_multiplier,
     newey_west_cov,
     select_lag_sbic,
 )
@@ -70,12 +68,10 @@ __all__ = [
     "mbic_lag_select",
     "ConstancyTest",
     "HacCovariance",
-    "LongRunMultiplier",
     "VarFit",
     "efficiency_degree",
     "fit_var",
     "hansen_lc",
-    "long_run_multiplier",
     "newey_west_cov",
     "select_lag_sbic",
     "EfficiencyPath",

@@ -84,8 +84,9 @@ class PipelineConfig:
     ``q=None`` selects the VAR order by the Schwarz criterion up to
     ``q_max``.  Breakpoints are ISO dates defining regime boundaries for
     the volatility summary.  Each value's type (an int passes as a
-    float), the breakpoint dates and the bootstrap settings are checked
-    here, so a bad config fails before any stage runs.
+    float), the breakpoint dates and their order, ``unitroot_k_max`` and
+    the bootstrap settings are checked here, so a bad config fails before
+    any stage runs.
     """
 
     input_path: str
@@ -113,10 +114,13 @@ class PipelineConfig:
             if not _has_type(value, hints[f.name]):
                 raise DataError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         try:
-            for b in self.breakpoints:
-                _parse_date(b)
+            dates = [_parse_date(b) for b in self.breakpoints]
         except ValueError as exc:
             raise DataError(f"config key 'breakpoints': {exc}") from exc
+        if any(a >= b for a, b in zip(dates, dates[1:])):
+            raise DataError("config key 'breakpoints' must be strictly increasing")
+        if self.unitroot_k_max is not None and self.unitroot_k_max < 0:
+            raise DataError("config key 'unitroot_k_max' must be >= 0")
         if self.unitroot_model not in ("constant", "trend"):
             raise DataError("unitroot_model must be 'constant' or 'trend'")
         if self.q is not None and self.q < 1:

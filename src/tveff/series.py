@@ -200,7 +200,8 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
     entries.  A row whose cell count differs from the header's, an
     unparseable date, and an unparseable, infinite, zero or negative
     price are rejected with the file name and line number (the column
-    too, for a price); so are duplicate dates.
+    too, for a price); so are duplicate dates, and a date or price
+    column name that the header or ``price_columns`` repeats.
     """
     schema = schema or CsvSchema()
     path = Path(path)
@@ -219,6 +220,11 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
         price_cols = tuple(schema.price_columns)
     if not price_cols:
         raise DataError(f"{path}: no price columns")
+    used = (schema.date_column, *price_cols)
+    for names, where in ((fields, "header"), (price_cols, "price columns")):
+        repeated = [c for c in used if names.count(c) > 1]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} appears twice in the {where}")
     at_date = fields.index(schema.date_column)
     at_price = [fields.index(c) for c in price_cols]
 

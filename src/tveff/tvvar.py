@@ -86,9 +86,8 @@ class StackedSystem:
     Every per-refit pass runs along the period axis.  The sample is kept
     as a (n*(q+1), m) buffer with one contiguous row per series and lag:
     row l*n + j is series j at lag l, so rows 0..n-1 are the targets and
-    rows n.. are the k regressor components (``regressors`` views them as
-    (m, k)).  Each band entry and each right-hand side is one length-m
-    product of two such rows.  ``beta`` is in Fortran order, one
+    rows n.. are the k regressor components.  Each band entry and each
+    right-hand side is one length-m product of two such rows.  ``beta`` is in Fortran order, one
     contiguous column per equation, and ``slopes`` is a live view of it.
     """
 
@@ -104,10 +103,6 @@ class StackedSystem:
     _factor: np.ndarray = field(repr=False)  # band-shaped Cholesky factor
 
     @property
-    def regressors(self) -> np.ndarray:  # (m, k): row t is z_t
-        return self._lags[-self.k:].T
-
-    @property
     def rhs(self) -> np.ndarray:  # (m*k, n)
         return self._columns[:, :-1]
 
@@ -120,24 +115,6 @@ class StackedSystem:
         """``beta`` viewed as (m, q, n, n): period, lag, equation, regressor."""
         n = self.beta.shape[1]
         return self.beta.reshape(self.m, self.k // n, n, n).transpose(0, 1, 3, 2)
-
-    def dense(self, equation: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble the full bordered normal matrix and one equation's rhs.
-
-        Unknown order: beta_1 .. beta_m, then the intercept.  Intended
-        for small instances and reference checks.
-        """
-        N = self.m * self.k
-        M = np.zeros((N + 1, N + 1))
-        for i in range(self.band.shape[0]):
-            for j in range(N - i):
-                M[j + i, j] = self.band[i, j]
-                M[j, j + i] = self.band[i, j]
-        M[:N, N] = self.border
-        M[N, :N] = self.border
-        M[N, N] = self.m
-        b = np.concatenate([self.rhs[:, equation], [self.rhs_border[equation]]])
-        return M, b
 
     def assemble(self, values: np.ndarray) -> None:
         """Fill every data-dependent entry from ``values`` (T, n), in place.
@@ -225,18 +202,8 @@ class TvVarFit:
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def n_series(self) -> int:
-        return self.nu.shape[0]
-
-    @property
     def nobs(self) -> int:
         return self.A_path.shape[0]
-
-    def smoothness(self) -> float:
-        """Sum of squared coefficient increments along the path."""
-        if self.nobs < 2:
-            return 0.0
-        return float(np.sum(np.diff(self.A_path, axis=0) ** 2))
 
 
 @dataclass

@@ -56,7 +56,6 @@ class AdfGlsResult:
     phi_hat: float
     model: str
     critical_values: dict[str, float]
-    nobs: int
 
     def rejects_at(self, level: str = "1%") -> bool:
         return self.statistic < self.critical_values[level]
@@ -192,5 +191,4 @@ def adf_gls(y: np.ndarray, model: str = "trend", k_max: int | None = None) -> Ad
         phi_hat=float(np.sum(b)),
         model=model,
         critical_values=dict(CRITICAL_VALUES[model]),
-        nobs=T - 1 - k,
     )

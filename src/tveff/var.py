@@ -27,18 +27,16 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .series import ReturnMatrix, _coerce_values, _lagged
-from .tvvar import _COND_LIMIT, zeta_from_coefficient_stack
+from .tvvar import zeta_from_coefficient_stack
 
 __all__ = [
     "VarFit",
-    "LongRunMultiplier",
     "ConstancyTest",
     "HacCovariance",
     "select_lag_sbic",
     "fit_var",
     "newey_west_cov",
     "hansen_lc",
-    "long_run_multiplier",
     "efficiency_degree",
     "constancy_critical_values",
 ]
@@ -70,14 +68,6 @@ class VarFit:
     @property
     def nobs(self) -> int:
         return self.residuals.shape[0]
-
-
-@dataclass
-class LongRunMultiplier:
-    """Cumulated impulse-response matrix ``(I - sum A_l)^{-1}``."""
-
-    phi1: np.ndarray
-    condition: float
 
 
 @dataclass
@@ -180,21 +170,16 @@ def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
     )
 
 
-def newey_west_cov(fit: VarFit, bandwidth: int | str = "auto") -> HacCovariance:
+def newey_west_cov(fit: VarFit) -> HacCovariance:
     """Bartlett-kernel HAC covariance of the VAR coefficients, per equation.
 
-    ``bandwidth="auto"`` uses floor(4 * (T/100)^(2/9)) on the estimation
-    sample; bandwidth 0 collapses to the White heteroskedasticity-robust
-    estimator.  No small-sample degrees-of-freedom adjustment is applied.
+    The bandwidth is L = floor(4 * (T/100)^(2/9)) on the estimation
+    sample, which is at least 1 and below T.  No small-sample
+    degrees-of-freedom adjustment is applied.
     """
     W = fit.regressors
     nobs, p = W.shape
-    if bandwidth == "auto":
-        L = int(np.floor(4.0 * (nobs / 100.0) ** (2.0 / 9.0)))
-    else:
-        L = int(bandwidth)
-    if L < 0 or L >= nobs:
-        raise DataError(f"bandwidth must be in [0, {nobs - 1}], got {L}")
+    L = int(np.floor(4.0 * (nobs / 100.0) ** (2.0 / 9.0)))
 
     gram_inv = np.linalg.inv(W.T @ W)
     n = fit.n_series
@@ -300,34 +285,6 @@ def hansen_lc(fit: VarFit) -> ConstancyTest:
     )
 
 
-def long_run_multiplier(A: list[np.ndarray] | np.ndarray) -> LongRunMultiplier:
-    """Invert ``I - sum_l A_l``; rejects near-singular systems.
-
-    Raises :class:`NumericalError` carrying the condition number when the
-    sum of slope matrices is too close to unity.
-    """
-    mats = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in _as_matrix_list(A)]
-    n = mats[0].shape[0]
-    B = np.eye(n) - sum(mats)
-    cond = float(np.linalg.cond(B))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise _singular_error(cond)
-    phi1 = np.linalg.inv(B)
-    return LongRunMultiplier(phi1=phi1, condition=cond)
-
-
-def _singular_error(cond: float) -> NumericalError:
-    return NumericalError(f"I - sum(A) is numerically singular (condition number {cond:.3e})")
-
-
-def _as_matrix_list(A) -> list[np.ndarray]:
-    if isinstance(A, np.ndarray) and A.ndim == 3:
-        return list(A)
-    if isinstance(A, np.ndarray) and A.ndim <= 2:
-        return [np.atleast_2d(A)]
-    return list(A)
-
-
 def efficiency_degree(A: list[np.ndarray] | np.ndarray) -> float:
     """Spectral norm of ``Phi(1) - I``: zero iff every slope matrix is zero.
 
@@ -335,10 +292,11 @@ def efficiency_degree(A: list[np.ndarray] | np.ndarray) -> float:
     Raises :class:`NumericalError` carrying the condition number where
     that routine flags ``I - sum A`` as numerically singular.
     """
-    stack = np.stack([np.atleast_2d(np.asarray(a, dtype=np.float64))
-                      for a in _as_matrix_list(A)])
+    if isinstance(A, np.ndarray) and A.ndim < 3:
+        A = [A]  # one slope matrix
+    stack = np.stack([np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in A])
     zeta = float(zeta_from_coefficient_stack(stack[None])[0])
     if np.isnan(zeta):
-        B = np.eye(stack.shape[1]) - stack.sum(axis=0)
-        raise _singular_error(float(np.linalg.cond(B)))
+        cond = float(np.linalg.cond(np.eye(stack.shape[1]) - stack.sum(axis=0)))
+        raise NumericalError(f"I - sum(A) is numerically singular (condition number {cond:.3e})")
     return zeta

@@ -426,6 +426,13 @@ class TestCli:
         assert run_cli("ingest", "-i", str(p), "-o", str(tmp_path / "out")) == 2
         assert f"{p}: line 3:" in capsys.readouterr().err
 
+    def test_price_column_named_twice_exit_code_2(self, tmp_path, capsys):
+        p = tmp_path / "prices.csv"
+        p.write_text("date,a,b\n2000-01-03,1.0,2.0\n2000-01-04,1.1,2.1\n", encoding="utf-8")
+        assert run_cli("ingest", "-i", str(p), "-o", str(tmp_path / "out"),
+                       "--price-columns", "a", "b", "a") == 2
+        assert f"{p}: column 'a' appears twice in the price columns" in capsys.readouterr().err
+
     def test_stats_csv_quotes_label_with_comma(self, tmp_path):
         rows = [f"2020-01-{d:02d},{100 + d},{50 + d * d}" for d in range(1, 9)]
         p = tmp_path / "prices.csv"
@@ -579,6 +586,7 @@ class TestCli:
     @pytest.mark.parametrize("key,value", [
         ("q", "2"), ("q", True), ("q_max", 8.0), ("lam", "1"), ("interpolate", 1),
         ("breakpoints", "2000-01-05"), ("price_columns", ["a", 1]), ("input_path", 3),
+        ("breakpoints", ["2000-01-05", "2000-01-03"]), ("unitroot_k_max", -1),
     ])
     def test_config_value_type_fails_before_any_stage(self, tmp_path, capsys, key, value):
         cfg = {"input_path": str(tmp_path / "prices.csv"),

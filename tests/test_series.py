@@ -83,6 +83,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="2020-01-01"):
             load_csv(p)
 
+    @pytest.mark.parametrize("header,schema,name,where", [
+        ("date,a,a", None, "a", "header"),
+        ("date,date,a", None, "date", "header"),
+        ("date,a,b", CsvSchema(price_columns=("a", "b", "a")), "a", "price columns"),
+    ], ids=["price-in-header", "date-in-header", "price-columns"])
+    def test_duplicate_column_name_rejected_naming_it(self, tmp_path, header, schema, name,
+                                                      where):
+        p = write_csv(tmp_path, f"{header}\n2020-01-01,1,5\n2020-01-02,2,6\n2020-01-03,3,7\n")
+        with pytest.raises(DataError, match=re.escape(f"{p}: column {name!r} appears twice "
+                                                      f"in the {where}")):
+            load_csv(p, schema)
+
+    def test_duplicate_unused_column_ignored(self, tmp_path):
+        p = write_csv(tmp_path, "date,a,a,b\n2020-01-01,1,5,7\n2020-01-02,2,6,8\n")
+        s = load_csv(p, CsvSchema(price_columns=("b",)))
+        np.testing.assert_allclose(s.prices[:, 0], [7, 8])
+
     def test_negative_price_rejected_with_row(self, tmp_path):
         p = write_csv(tmp_path, "date,a\n2020-01-01,100\n2020-01-02,-5\n")
         with pytest.raises(DataError, match=re.escape(f"{p}: line 3")):

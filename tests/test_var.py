@@ -12,7 +12,6 @@ from tveff.var import (
     efficiency_degree,
     fit_var,
     hansen_lc,
-    long_run_multiplier,
     newey_west_cov,
     select_lag_sbic,
 )
@@ -187,28 +186,19 @@ class TestFitVar:
 
 
 class TestNeweyWest:
-    def test_bandwidth_zero_is_white(self):
-        X, _ = gen_returns(ScenarioSpec(kind="iid", T=300, n=2, seed=7))
-        fit = fit_var(X, 1)
-        hac = newey_west_cov(fit, bandwidth=0)
-        for j in range(2):
-            W, e = fit.regressors, fit.residuals[:, j]
-            G = np.linalg.inv(W.T @ W)
-            white = G @ (W * e[:, None] ** 2).T @ W @ G
-            np.testing.assert_allclose(hac.cov[j], white, atol=1e-12)
-
-    def test_bandwidth_five_matches_double_sum_oracle(self):
+    def test_auto_bandwidth_matches_double_sum_oracle(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=200, n=2, seed=8))
         fit = fit_var(X, 1)
-        hac = newey_west_cov(fit, bandwidth=5)
+        hac = newey_west_cov(fit)
+        assert hac.bandwidth == 4  # floor(4 * 1.99^(2/9)): four lag terms
         for j in range(2):
-            ref = oracle_hac(fit.regressors, fit.residuals[:, j], 5)
+            ref = oracle_hac(fit.regressors, fit.residuals[:, j], hac.bandwidth)
             np.testing.assert_allclose(hac.cov[j], ref, atol=1e-10)
 
     def test_psd(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=300, n=2, seed=9))
         fit = fit_var(X, 1)
-        hac = newey_west_cov(fit, bandwidth=5)
+        hac = newey_west_cov(fit)
         for j in range(2):
             eig = np.linalg.eigvalsh(hac.cov[j])
             assert eig.min() > -1e-18
@@ -220,10 +210,11 @@ class TestNeweyWest:
         assert newey_west_cov(fit).bandwidth == int(np.floor(4.0 * (nobs / 100.0) ** (2.0 / 9.0)))
 
     def test_bandwidth_bounds(self):
-        X, _ = gen_returns(ScenarioSpec(kind="iid", T=100, n=1, seed=11))
-        fit = fit_var(X, 1)
-        with pytest.raises(DataError, match="bandwidth"):
-            newey_west_cov(fit, bandwidth=fit.nobs)
+        # the rule keeps 1 <= L < nobs down to the smallest sample fit_var accepts
+        rng = np.random.default_rng(11)
+        for T in (4, 5, 100):
+            fit = fit_var(rng.normal(size=(T, 1)), 1)
+            assert 1 <= newey_west_cov(fit).bandwidth < fit.nobs
 
 
 class TestHansenLc:
@@ -312,37 +303,6 @@ class TestLcQuantiles:
             _lc_quantiles.__wrapped__(12)
 
 
-class TestLongRunMultiplier:
-    def test_zero_matrices_give_identity(self):
-        lrm = long_run_multiplier(np.zeros((2, 3, 3)))
-        np.testing.assert_allclose(lrm.phi1, np.eye(3), atol=1e-14)
-
-    def test_univariate_geometric_sum(self):
-        lrm = long_run_multiplier(np.array([[0.5]]))
-        assert abs(lrm.phi1[0, 0] - 2.0) < 1e-14
-
-    def test_table2_matrix_matches_inversion_oracle(self):
-        lrm = long_run_multiplier([TABLE2_A])
-        B = np.eye(2) - TABLE2_A
-        det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        ref = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
-        np.testing.assert_allclose(lrm.phi1, ref, atol=1e-12)
-        np.testing.assert_allclose(
-            lrm.phi1, [[1.032, 0.183], [0.141, 1.044]], atol=5e-4
-        )
-
-    def test_residual_identity(self):
-        rng = np.random.default_rng(16)
-        A = [rng.normal(0, 0.1, size=(3, 3)) for _ in range(2)]
-        lrm = long_run_multiplier(A)
-        resid = (np.eye(3) - sum(A)) @ lrm.phi1 - np.eye(3)
-        assert np.abs(resid).max() < 1e-10
-
-    def test_singular_sum_raises_with_condition(self):
-        with pytest.raises(NumericalError, match="condition"):
-            long_run_multiplier(np.array([[1.0]]))
-
-
 class TestEfficiencyDegree:
     def test_zero_is_zero(self):
         assert efficiency_degree(np.zeros((1, 2, 2))) == 0.0
@@ -364,6 +324,10 @@ class TestEfficiencyDegree:
         assert abs(mine - ref) < 1e-10
         assert abs(mine - 0.2057002163771213) < 1e-12
         assert abs(mine - 0.206) < 5e-4
+
+    def test_singular_sum_raises_with_condition(self):
+        with pytest.raises(NumericalError, match="condition"):
+            efficiency_degree(np.array([[1.0]]))
 
     def test_nonnegative_and_zero_iff_zero(self):
         rng = np.random.default_rng(17)
