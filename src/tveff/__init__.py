@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import DataError, NumericalError
 from .series import (
-    CsvSchema,
     PriceSeries,
     ReturnMatrix,
     StatsSummary,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "DataError",
     "NumericalError",
-    "CsvSchema",
     "PriceSeries",
     "ReturnMatrix",
     "StatsSummary",

@@ -43,7 +43,6 @@ from .pipeline import (
     unitroot_stage,
     var_stage,
 )
-from .series import descriptive_stats
 from .synth import SCENARIO_KINDS, ScenarioSpec, gen_returns, true_zeta_path
 
 EXIT_OK = 0
@@ -203,7 +202,7 @@ def _cmd_stats(args) -> int:
 def _cmd_unitroot(args) -> int:
     config, out = _stage_config(args)
     returns = read_returns_csv(args.returns)
-    tests, _ = unitroot_stage(config, out, returns, descriptive_stats(returns))
+    tests, _ = unitroot_stage(config, out, returns)
     for j, t in enumerate(tests):
         verdict = "rejects unit root at 1%" if t.rejects_at("1%") else "no rejection at 1%"
         print(f"{returns.labels[j]}: stat {t.statistic:.4f}, lags {t.selected_lag}, {verdict}")

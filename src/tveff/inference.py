@@ -278,6 +278,29 @@ def classify_segments(path: EfficiencyPath, min_run: int = 20) -> list[Segment]:
     return segments
 
 
+def _regimes(dates: np.ndarray, breakpoints: list) -> tuple[np.ndarray, int]:
+    """Regime of each date and the regime count, with :func:`regime_volatility`'s rules.
+
+    Only dates are read, so ``run_pipeline`` checks breakpoints before any solve.
+    """
+    dates = np.asarray(dates)
+    if dates.dtype.kind == "M":
+        bps = np.array([_parse_date(str(b)) for b in breakpoints], dtype="datetime64[D]")
+    else:
+        bps = np.asarray(breakpoints, dtype=dates.dtype)
+    if not (np.diff(bps) > 0).all():
+        raise DataError("breakpoints must be strictly increasing")
+    for b in bps:
+        if b < dates[0] or b > dates[-1]:
+            raise DataError(f"breakpoint {b} outside the sample")
+    inner = bps[bps > dates[0]]
+    regime = np.searchsorted(inner, dates, side="right")
+    empty = np.flatnonzero(np.bincount(regime, minlength=inner.size + 1) == 0)
+    if empty.size:
+        raise DataError(f"regime {empty[0] + 1} is empty")
+    return regime, inner.size + 1
+
+
 def regime_volatility(path: EfficiencyPath, breakpoints: list) -> RegimeSummary:
     """Sample SD of the efficiency degree between breakpoints.
 
@@ -288,24 +311,11 @@ def regime_volatility(path: EfficiencyPath, breakpoints: list) -> RegimeSummary:
     regimes are rejected.  The SD takes every finite zeta of the regime.
     """
     dates = np.asarray(path.dates)
-    if dates.dtype.kind == "M":
-        bps = np.array([_parse_date(str(b)) for b in breakpoints], dtype="datetime64[D]")
-    else:
-        bps = np.asarray(breakpoints, dtype=dates.dtype)
-    if not (np.diff(bps) > 0).all():
-        raise DataError("breakpoints must be strictly increasing")
-    for b in bps:
-        if b < dates[0] or b > dates[-1]:
-            raise DataError(f"breakpoint {b} outside the sample")
-
-    inner = bps[bps > dates[0]]
-    regime = np.searchsorted(inner, dates, side="right")
+    regime, n_regimes = _regimes(dates, breakpoints)
     efficient = path.efficient_flag
     starts, ends, sds, shares, counts = [], [], [], [], []
-    for r in range(inner.size + 1):
+    for r in range(n_regimes):
         sel = regime == r
-        if not sel.any():
-            raise DataError(f"regime {r + 1} is empty")
         zeta = path.zeta[sel]
         finite = zeta[np.isfinite(zeta)]
         if finite.size == 0:

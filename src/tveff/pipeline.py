@@ -35,8 +35,9 @@ import scipy
 
 from . import __version__
 from .errors import DataError, NumericalError
-from .inference import BootstrapSpec, Segment, bootstrap_bands, classify_segments, regime_volatility
-from .series import (CsvSchema, ReturnMatrix, StatsSummary, _parse_date, _parse_rows, _read_csv,
+from .inference import (BootstrapSpec, Segment, _regimes, bootstrap_bands, classify_segments,
+                        regime_volatility)
+from .series import (ReturnMatrix, StatsSummary, _parse_date, _parse_rows, _read_csv,
                      descriptive_stats, interpolate_missing, load_csv, log_returns)
 from .tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path
 from .unitroot import AdfGlsResult, adf_gls
@@ -62,7 +63,6 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, original: BaseException):
         super().__init__(f"stage {stage!r} failed: {original}")
-        self.stage = stage
         self.original = original
 
 
@@ -308,12 +308,8 @@ def resolve_q(config: PipelineConfig, returns: ReturnMatrix) -> int:
 
 def ingest_stage(config: PipelineConfig, out: Path) -> tuple[ReturnMatrix, list[Path]]:
     """Load ``config.input_path``, repair gaps, write clean prices and returns."""
-    schema = CsvSchema(
-        date_column=config.date_column,
-        price_columns=None if config.price_columns is None else tuple(config.price_columns),
-        date_format=config.date_format,
-    )
-    prices = load_csv(config.input_path, schema)
+    prices = load_csv(config.input_path, date_column=config.date_column,
+                      price_columns=config.price_columns, date_format=config.date_format)
     if config.interpolate:
         prices = interpolate_missing(prices)
     elif prices.missing_mask.any():
@@ -335,14 +331,14 @@ def stats_stage(out: Path, returns: ReturnMatrix) -> tuple[StatsSummary, list[Pa
     return stats, [p_csv, p_json]
 
 
-def unitroot_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix,
-                   stats: StatsSummary) -> tuple[list[AdfGlsResult], list[Path]]:
-    """ADF-GLS test per column; writes Table 1 with the statistics."""
+def unitroot_stage(config: PipelineConfig, out: Path,
+                   returns: ReturnMatrix) -> tuple[list[AdfGlsResult], list[Path]]:
+    """ADF-GLS test per column; writes Table 1 with the descriptive statistics."""
     tests = [
         adf_gls(returns.values[:, j], model=config.unitroot_model, k_max=config.unitroot_k_max)
         for j in range(returns.n_columns)
     ]
-    rows = _stats_rows(stats)
+    rows = _stats_rows(descriptive_stats(returns))
     for row, t in zip(rows, tests):  # N stays the last column
         row.update(adf_gls=t.statistic, lags=t.selected_lag, phi_hat=t.phi_hat, n=row.pop("n"))
     p_csv, p_json = out / "table1.csv", out / "table1.json"
@@ -608,7 +604,6 @@ class PipelineResult:
 
     artifacts: list[Path]
     q: int
-    path: EfficiencyPath
     segments: list[Segment]
 
 
@@ -640,11 +635,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     try:
         returns = track(ingest_stage(config, out))
         stage = "stats"
-        stats = track(stats_stage(out, returns))
+        track(stats_stage(out, returns))
         stage = "unitroot"
-        track(unitroot_stage(config, out, returns, stats))
+        track(unitroot_stage(config, out, returns))
         stage = "var"
         q = resolve_q(config, returns)
+        stage = "segments"
+        _regimes(returns.dates[q:], config.breakpoints)  # dates alone: fail before any solve
+        stage = "var"
         track(var_stage(out, returns, q))
         stage = "tvvar"
         raw_path = track(tvvar_stage(config, out, returns, q))
@@ -668,4 +666,4 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 pass
         raise StageError(stage, exc) from exc
 
-    return PipelineResult(artifacts=written, q=q, path=ep, segments=segments)
+    return PipelineResult(artifacts=written, q=q, segments=segments)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -34,7 +36,6 @@ from scipy.linalg import solve_banded
 from .errors import DataError
 
 __all__ = [
-    "CsvSchema",
     "PriceSeries",
     "ReturnMatrix",
     "StatsSummary",
@@ -43,18 +44,6 @@ __all__ = [
     "log_returns",
     "descriptive_stats",
 ]
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for price CSV files.
-
-    ``price_columns=None`` means every non-date column, in file order.
-    """
-
-    date_column: str = "date"
-    price_columns: tuple[str, ...] | None = None
-    date_format: str = "%Y-%m-%d"
 
 
 @dataclass
@@ -166,13 +155,21 @@ def _parse_rows(path: Path, header: list[str], rows: list[tuple[int, list[str]]]
     return out
 
 
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
 def _parse_date(cell: str, fmt: str = "%Y-%m-%d") -> np.datetime64:
-    """One date cell; ``ValueError`` when it does not match ``fmt``."""
+    """One date cell, stripped; ``ValueError`` unless ``strptime(cell, fmt)`` accepts it.
+
+    Only a ``YYYY-MM-DD`` cell under the default format takes the faster
+    ``date.fromisoformat``, which accepts other forms too from Python 3.11.
+    """
+    text = cell.strip()
     try:
-        if fmt == "%Y-%m-%d":
-            parsed = date.fromisoformat(cell.strip())
+        if fmt == "%Y-%m-%d" and _ISO_DATE.fullmatch(text):
+            parsed = date.fromisoformat(text)
         else:
-            parsed = datetime.strptime(cell.strip(), fmt).date()
+            parsed = datetime.strptime(text, fmt).date()
     except ValueError as exc:
         raise ValueError(f"unparseable date {cell!r}") from exc
     return np.datetime64(parsed, "D")
@@ -193,9 +190,13 @@ def _parse_price(cell: str, column: str) -> float:
     return value
 
 
-def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
+def load_csv(path: str | Path, *, date_column: str = "date",
+             price_columns: Sequence[str] | None = None,
+             date_format: str = "%Y-%m-%d") -> PriceSeries:
     """Read a dated price CSV into a :class:`PriceSeries`.
 
+    ``price_columns=None`` means every column but ``date_column``, in
+    file order; ``date_format`` is a ``strptime`` format.
     Rows are sorted by date.  Blank or NaN price cells become missing
     entries.  A row whose cell count differs from the header's, an
     unparseable date, and an unparseable, infinite, zero or negative
@@ -203,33 +204,32 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
     too, for a price); so are duplicate dates, and a date or price
     column name that the header or ``price_columns`` repeats.
     """
-    schema = schema or CsvSchema()
     path = Path(path)
     header, rows = _read_csv(path)
     if header is None:
         raise DataError(f"{path}: empty file (header row required)")
     fields = [f.strip() for f in header]
-    if schema.date_column not in fields:
-        raise DataError(f"{path}: date column {schema.date_column!r} not found")
-    if schema.price_columns is None:
-        price_cols = tuple(f for f in fields if f != schema.date_column)
+    if date_column not in fields:
+        raise DataError(f"{path}: date column {date_column!r} not found")
+    if price_columns is None:
+        price_cols = tuple(f for f in fields if f != date_column)
     else:
-        missing_cols = [c for c in schema.price_columns if c not in fields]
+        missing_cols = [c for c in price_columns if c not in fields]
         if missing_cols:
             raise DataError(f"{path}: price columns not found: {missing_cols}")
-        price_cols = tuple(schema.price_columns)
+        price_cols = tuple(price_columns)
     if not price_cols:
         raise DataError(f"{path}: no price columns")
-    used = (schema.date_column, *price_cols)
+    used = (date_column, *price_cols)
     for names, where in ((fields, "header"), (price_cols, "price columns")):
         repeated = [c for c in used if names.count(c) > 1]
         if repeated:
             raise DataError(f"{path}: column {repeated[0]!r} appears twice in the {where}")
-    at_date = fields.index(schema.date_column)
+    at_date = fields.index(date_column)
     at_price = [fields.index(c) for c in price_cols]
 
     def parse(rec: list[str]) -> tuple[np.datetime64, list[float]]:
-        return (_parse_date(rec[at_date], schema.date_format),
+        return (_parse_date(rec[at_date], date_format),
                 [_parse_price(rec[j], fields[j]) for j in at_price])
 
     dates, prices = zip(*_parse_rows(path, header, rows, parse))
@@ -272,16 +272,11 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     system for the knot slopes, solved by ``solve_banded``; the same
     Hermite coefficients; PPoly's power-sum evaluation order
     ((c3 + c2 d) + c1 d^2) + c0 d^3.  Points outside [x[0], x[-1]]
-    extend the end pieces.  As in CubicSpline, knots that are not at
-    least two, finite and strictly increasing, or a non-finite value, are
-    rejected (a ``DataError``).
+    extend the end pieces.  Unlike CubicSpline it checks nothing: the
+    knots must be at least two, finite and strictly increasing, and the
+    values finite, as :func:`interpolate_missing` guarantees.
     """
     dx = np.diff(x)
-    if not (x.ndim == 1 and x.shape == y.shape and x.size >= 2
-            and np.isfinite(x).all() and (dx > 0).all()):
-        raise DataError("spline knots must be at least two, finite and strictly increasing")
-    if not np.isfinite(y).all():
-        raise DataError("non-finite observed price")
     slope = np.diff(y) / dx
     A = np.zeros((3, x.size))  # rows: upper diagonal, diagonal, lower diagonal
     A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
@@ -304,11 +299,11 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def interpolate_missing(s: PriceSeries) -> PriceSeries:
     """Fill interior missing cells by natural cubic spline in observation index.
 
-    Knots are the non-missing observations of each column; boundary
-    observations must be present (no extrapolation), at least four
-    support points are required per column, and every observed price of
-    a column with gaps must be finite.  Non-missing cells are returned
-    unchanged bit-for-bit.
+    Knots are the non-missing observations of each column, which
+    :class:`PriceSeries` holds positive and finite; boundary
+    observations must be present (no extrapolation), and at least four
+    support points are required per column.  Non-missing cells are
+    returned unchanged bit-for-bit.
     """
     filled = s.prices.copy()
     idx = np.arange(len(s), dtype=np.float64)
@@ -328,11 +323,8 @@ def interpolate_missing(s: PriceSeries) -> PriceSeries:
                 f"column {s.labels[j]!r}: needs >= 4 observed points, "
                 f"got {int(support.sum())}"
             )
-        try:
-            filled[col_missing, j] = _natural_spline(idx[support], s.prices[support, j],
-                                                     idx[col_missing])
-        except DataError as exc:
-            raise DataError(f"column {s.labels[j]!r}: {exc}") from None
+        filled[col_missing, j] = _natural_spline(idx[support], s.prices[support, j],
+                                                 idx[col_missing])
         if (filled[col_missing, j] <= 0).any():
             raise DataError(
                 f"column {s.labels[j]!r}: spline produced a non-positive price"

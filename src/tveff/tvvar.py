@@ -165,6 +165,9 @@ class StackedSystem:
                 "normal matrix is not positive definite "
                 f"(m={m}, k={k}, lam={self.lam}); regressors may be collinear"
             ) from exc
+        except ValueError as exc:  # cholesky_banded's finiteness check
+            raise NumericalError("normal equations are not finite: the products of the "
+                                 "returns overflow") from exc
         fdiag = factor[0]
         cond_est = float((fdiag.max() / fdiag.min()) ** 2)
         if not np.isfinite(cond_est) or cond_est > 1e30:
@@ -193,10 +196,8 @@ class TvVarFit:
     indexing equations.
     """
 
-    q: int
     nu: np.ndarray  # (n,)
     A_path: np.ndarray  # (m, q, n, n)
-    lam: float
     labels: tuple[str, ...]
     dates: np.ndarray | None  # (m,) datetime64 or None
     diagnostics: dict = field(default_factory=dict)
@@ -300,10 +301,8 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     system = build_stacked_system(values, q, lam)
     nu, cond_est = system.solve()
     return TvVarFit(
-        q=q,
         nu=nu,
         A_path=system.slopes.copy(),
-        lam=lam,
         labels=labels,
         dates=None if dates is None else dates[q:].copy(),
         diagnostics={"condition_estimate": cond_est},

@@ -433,6 +433,52 @@ class TestCli:
                        "--price-columns", "a", "b", "a") == 2
         assert f"{p}: column 'a' appears twice in the price columns" in capsys.readouterr().err
 
+    def test_ingest_date_format(self, tmp_path):
+        p = tmp_path / "prices.csv"
+        p.write_text("date,a\n03/01/2000,100\n04/01/2000,101\n05/01/2000,103\n",
+                     encoding="utf-8")
+        iso = np.array(["2000-01-03", "2000-01-04", "2000-01-05"], dtype="datetime64[D]")
+        np.testing.assert_array_equal(load_csv(p, date_format="%d/%m/%Y").dates, iso)
+        assert run_cli("ingest", "-i", str(p), "-o", str(tmp_path / "out"),
+                       "--date-format", "%d/%m/%Y") == 0
+        np.testing.assert_array_equal(read_returns_csv(tmp_path / "out" / "returns.csv").dates,
+                                      iso[1:])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["tvvar", "bootstrap"])
+    def test_overflowing_returns_exit_code_3(self, tmp_path, capsys, command):
+        # finite returns whose products overflow the normal equations to inf
+        values = np.random.default_rng(0).normal(size=(300, 2)) * 1e160
+        p_ret = tmp_path / "returns.csv"
+        write_returns_csv(p_ret, ReturnMatrix(dates=np.datetime64("2000-01-03") + np.arange(300),
+                                              values=values, labels=("a", "b")))
+        assert run_cli(command, "--returns", str(p_ret), "--q", "1",
+                       "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == ("error: normal equations are not finite: the "
+                                           "products of the returns overflow\n")
+
+    @pytest.mark.parametrize("case", ["outside-sample", "empty-regime"])
+    def test_breakpoints_fail_before_bootstrap(self, tmp_path, capsys, monkeypatch, case):
+        def bootstrap_bands(*args, **kwargs):
+            pytest.fail("the bootstrap ran before the breakpoints were checked")
+
+        monkeypatch.setattr("tveff.pipeline.bootstrap_bands", bootstrap_bands)
+        prices, _ = synth_prices(tmp_path)
+        if case == "outside-sample":
+            breakpoints, message = ["2030-01-01"], "breakpoint 2030-01-01 outside the sample"
+        else:  # both fall on non-trading days between the same two trading days
+            lines = prices.read_text(encoding="utf-8").splitlines(keepends=True)
+            breakpoints = [lines.pop(150).split(",")[0] for _ in range(2)]
+            prices.write_text("".join(lines), encoding="utf-8")
+            message = "regime 2 is empty"
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"input_path": str(prices), "output_dir": str(tmp_path / "out"),
+                                 "q": 1, "replications": 120, "coverage": 0.9,
+                                 "breakpoints": breakpoints}))
+        assert run_cli("run", "--config", str(p)) == 2
+        assert capsys.readouterr().err == f"error: stage 'segments' failed: {message}\n"
+        assert not any((tmp_path / "out").iterdir())
+
     def test_stats_csv_quotes_label_with_comma(self, tmp_path):
         rows = [f"2020-01-{d:02d},{100 + d},{50 + d * d}" for d in range(1, 9)]
         p = tmp_path / "prices.csv"

@@ -11,7 +11,6 @@ from tveff.errors import DataError
 from tveff.inference import BootstrapSpec, bootstrap_bands
 from tveff.pipeline import stats_stage
 from tveff.series import (
-    CsvSchema,
     PriceSeries,
     ReturnMatrix,
     descriptive_stats,
@@ -83,21 +82,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="2020-01-01"):
             load_csv(p)
 
-    @pytest.mark.parametrize("header,schema,name,where", [
+    @pytest.mark.parametrize("header,price_columns,name,where", [
         ("date,a,a", None, "a", "header"),
         ("date,date,a", None, "date", "header"),
-        ("date,a,b", CsvSchema(price_columns=("a", "b", "a")), "a", "price columns"),
+        ("date,a,b", ("a", "b", "a"), "a", "price columns"),
     ], ids=["price-in-header", "date-in-header", "price-columns"])
-    def test_duplicate_column_name_rejected_naming_it(self, tmp_path, header, schema, name,
-                                                      where):
+    def test_duplicate_column_name_rejected_naming_it(self, tmp_path, header, price_columns,
+                                                      name, where):
         p = write_csv(tmp_path, f"{header}\n2020-01-01,1,5\n2020-01-02,2,6\n2020-01-03,3,7\n")
         with pytest.raises(DataError, match=re.escape(f"{p}: column {name!r} appears twice "
                                                       f"in the {where}")):
-            load_csv(p, schema)
+            load_csv(p, price_columns=price_columns)
 
     def test_duplicate_unused_column_ignored(self, tmp_path):
         p = write_csv(tmp_path, "date,a,a,b\n2020-01-01,1,5,7\n2020-01-02,2,6,8\n")
-        s = load_csv(p, CsvSchema(price_columns=("b",)))
+        s = load_csv(p, price_columns=("b",))
         np.testing.assert_allclose(s.prices[:, 0], [7, 8])
 
     def test_negative_price_rejected_with_row(self, tmp_path):
@@ -121,9 +120,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("cell,iso", [
+        ("20000103", None), ("2000-W01-2", None), ("2000-1-3", "2000-01-03"),
+    ])
+    def test_default_date_format_reads_as_strptime(self, tmp_path, cell, iso):
+        # the same on every Python: date.fromisoformat accepts the first two
+        # from Python 3.11 on and rejects the third
+        p = write_csv(tmp_path, f"date,a\n{cell},100\n2000-01-05,101\n")
+        if iso is None:
+            with pytest.raises(DataError, match=re.escape(f"{p}: line 2: unparseable date")):
+                load_csv(p)
+        else:
+            assert load_csv(p).dates[0] == np.datetime64(iso)
+
     def test_schema_selects_columns(self, tmp_path):
         p = write_csv(tmp_path, "day,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n")
-        s = load_csv(p, CsvSchema(date_column="day", price_columns=("b",)))
+        s = load_csv(p, date_column="day", price_columns=("b",))
         assert s.labels == ("b",)
         np.testing.assert_allclose(s.prices[:, 0], [2, 4])
 
