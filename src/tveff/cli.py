@@ -84,7 +84,6 @@ def _add_bootstrap_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replications", type=int)
     p.add_argument("--coverage", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
 
 
 def build_parser() -> _Parser:

@@ -7,28 +7,24 @@ cross-correlation intact).  Each replication re-runs the full
 time-varying fit, intercept included, and the per-period efficiency
 degrees are reduced to equal-tail empirical quantiles.
 
-Each worker refits a contiguous block of replications in one
-``StackedSystem`` and one pseudo-sample buffer: every replication
-overwrites them in place through the same ``assemble`` and ``solve`` as
-``solve_tvvar``, so the replicated zeta equal those of full refits bit
-for bit.
+One ``StackedSystem`` and one pseudo-sample buffer serve every
+replication: each overwrites them in place through the same
+``assemble`` and ``solve`` as ``solve_tvvar``, so the replicated zeta
+equal those of full refits bit for bit.
 
 A band is an order statistic, so no (B, m) array of replicated zeta is
-kept.  Each worker appends its rows to one buffer of a few tails' worth
-of rows, and whenever the buffer fills, one in-place partition keeps
-only the k_lo smallest and B - k_hi + 1 largest values of each period.
-The workers' tails are reduced the same way.  Every value that can be a
-band survives each step, so the bands are the exact order statistics of
-all B replications.
+kept.  The rows stream through one buffer of a few tails' worth of rows,
+and whenever it fills, one in-place partition keeps only the k_lo
+smallest and B - k_hi + 1 largest values of each period.  Every value
+that can be a band survives each step, so the bands are the exact order
+statistics of all B replications.
 
-Replication b draws from the b-th stream spawned off the master seed,
-and the tail reduction does not depend on the order rows arrive in, so
-serial and threaded runs produce bit-identical bands.
+Replication b draws from the b-th stream spawned off the master seed, so
+its zeta do not depend on any other replication.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +54,10 @@ class BootstrapSpec:
     """Settings for the efficiency-degree bootstrap.
 
     Whole return vectors are the resampling unit.  Memory grows with
-    ``replications`` only through the band tails: each worker keeps at
-    most tail + max(2 * tail, 64) rows of m float64, where tail =
+    ``replications`` only through the band tails: at most
+    tail + max(2 * tail, 64) rows of m float64 are kept, where tail =
     2 * k_lo + 1 for k_lo of ``band_order_statistics``.  ``seed`` must be
-    non-negative.  ``workers`` > 1 runs
-    replications on a thread pool without changing any output bit, but
-    gives no speed-up today (measured 1.0x): scipy's banded Cholesky
-    wrappers and the short elementwise passes of each refit hold the GIL.
+    non-negative.
     """
 
     replications: int = 5000
@@ -72,7 +65,6 @@ class BootstrapSpec:
     seed: int = 0
     lam: float = 1.0
     q: int = 1
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.replications < 100:
@@ -85,8 +77,6 @@ class BootstrapSpec:
             raise DataError(f"lam must be positive with a finite nonzero square, got {self.lam}")
         if self.q < 1:
             raise DataError("q must be >= 1")
-        if self.workers < 1:
-            raise DataError("workers must be >= 1")
 
     def band_order_statistics(self) -> tuple[int, int]:
         """1-based order statistics (lower, upper) of the per-period bands.
@@ -129,11 +119,11 @@ class RegimeSummary:
     counts: np.ndarray
 
 
-def _replicated_zeta(values: np.ndarray, spec: BootstrapSpec, lo: int, hi: int):
-    """Yield the efficiency degrees of null replications ``lo .. hi-1`` in order.
+def _replicated_zeta(values: np.ndarray, spec: BootstrapSpec):
+    """Yield the efficiency degrees of the B null replications in order.
 
-    One ``StackedSystem`` and one pseudo-sample buffer serve the whole
-    block; replication b draws from ``SeedSequence(spec.seed,
+    One ``StackedSystem`` and one pseudo-sample buffer serve them all;
+    replication b draws from ``SeedSequence(spec.seed,
     spawn_key=(b,))``, the b-th child that ``SeedSequence(spec.seed)``
     spawns.  Each yielded row is a fresh array.
     """
@@ -143,7 +133,7 @@ def _replicated_zeta(values: np.ndarray, spec: BootstrapSpec, lo: int, hi: int):
     system = build_stacked_system(values, spec.q, spec.lam)
     pseudo = np.empty_like(values)
     A_stack = system.slopes  # a view: every solve rewrites it in place
-    for b in range(lo, hi):
+    for b in range(spec.replications):
         stream = np.random.SeedSequence(spec.seed, spawn_key=(b,))
         idx = np.random.default_rng(stream).integers(0, T, size=T)
         np.take(centered, idx, axis=0, out=pseudo)
@@ -162,7 +152,7 @@ def _keep_tails(rows: np.ndarray, k_lo: int, n_hi: int) -> np.ndarray:
     their largest in row ``k_lo - 1``, then the ``n_hi`` largest, their
     smallest in row ``k_lo``.  Fewer rows than that come back untouched.
     The tails of a union are the tails of the union of its parts' tails,
-    so blocks of rows can be reduced one at a time and in any order.
+    so rows can be reduced one buffer at a time.
     """
     filled, tail = rows.shape[0], k_lo + n_hi
     if filled < tail:
@@ -175,34 +165,21 @@ def _keep_tails(rows: np.ndarray, k_lo: int, n_hi: int) -> np.ndarray:
 def _null_bands(values: np.ndarray, spec: BootstrapSpec) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper band: order statistics k_lo and k_hi of the B replicated paths.
 
-    Each worker streams the rows of its block of replications through
-    one buffer of tail + max(2 * tail, 64) rows, reduced to its tails
-    whenever it fills, and the workers' tails are reduced once more
-    together.
+    The rows stream through one buffer of tail + max(2 * tail, 64) rows,
+    reduced to its tails whenever it fills.
     """
     k_lo, k_hi = spec.band_order_statistics()
     n_hi = spec.replications - k_hi + 1
     tail = k_lo + n_hi
     m = values.shape[0] - spec.q
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        buffer = np.empty((min(tail + max(2 * tail, 64), hi - lo), m))
-        filled = 0
-        for zeta in _replicated_zeta(values, spec, lo, hi):
-            if filled == buffer.shape[0]:
-                filled = _keep_tails(buffer, k_lo, n_hi).shape[0]
-            buffer[filled] = zeta
-            filled += 1
-        return _keep_tails(buffer[:filled], k_lo, n_hi)
-
-    blocks = min(spec.workers, spec.replications)
-    edges = [spec.replications * w // blocks for w in range(blocks + 1)]
-    if blocks == 1:
-        tails = block(0, spec.replications)
-    else:
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
-            parts = list(pool.map(block, edges[:-1], edges[1:]))
-        tails = _keep_tails(np.concatenate(parts), k_lo, n_hi)
+    buffer = np.empty((min(tail + max(2 * tail, 64), spec.replications), m))
+    filled = 0
+    for zeta in _replicated_zeta(values, spec):
+        if filled == buffer.shape[0]:
+            filled = _keep_tails(buffer, k_lo, n_hi).shape[0]
+        buffer[filled] = zeta
+        filled += 1
+    tails = _keep_tails(buffer[:filled], k_lo, n_hi)
     return tails[k_lo - 1].copy(), tails[k_lo].copy()
 
 

@@ -86,7 +86,7 @@ class PipelineConfig:
     the volatility summary.  Each value's type (an int passes as a
     float), the breakpoint dates and their order, ``unitroot_k_max`` and
     the bootstrap settings are checked here, so a bad config fails before
-    any stage runs.
+    any stage runs.  ``workers`` must be 1: the bootstrap runs serially.
     """
 
     input_path: str
@@ -129,6 +129,8 @@ class PipelineConfig:
             raise DataError("q_max must be >= 1")
         if self.min_run < 1:
             raise DataError("min_run must be >= 1")
+        if self.workers != 1:
+            raise DataError(f"config key 'workers' must be 1, got {self.workers}")
         self.bootstrap_spec(1).band_order_statistics()
 
     @classmethod
@@ -158,7 +160,6 @@ class PipelineConfig:
             seed=self.seed,
             lam=self.lam,
             q=q,
-            workers=self.workers,
         )
 
 
@@ -205,10 +206,6 @@ def _write_dated_csv(path: Path, dates: np.ndarray, values: np.ndarray,
 def _jsonable(x):
     if isinstance(x, (float, np.floating)):
         return float(x) if math.isfinite(x) else None
-    if isinstance(x, (np.integer, np.bool_)):
-        return x.item()
-    if isinstance(x, np.datetime64):
-        return str(x)
     if isinstance(x, np.ndarray):
         return x.astype(str).tolist() if x.dtype.kind in "Mm" else _jsonable(x.tolist())
     if isinstance(x, (list, tuple)):

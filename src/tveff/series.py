@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 __all__ = [
     "PriceSeries",
@@ -132,7 +132,7 @@ class StatsSummary:
 def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
     """Header and the non-blank rows, with their line numbers, of a CSV file."""
     try:  # streamed, not copied whole into memory
-        with path.open(encoding="utf-8", newline="") as handle:
+        with path.open(encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             return header, [(reader.line_num, rec) for rec in reader if rec]
@@ -349,10 +349,15 @@ def descriptive_stats(r: ReturnMatrix) -> StatsSummary:
     """Mean, sample SD (N-1 denominator), max, min and N per return column."""
     if len(r) < 2:
         raise DataError("need at least two return observations")
+    with np.errstate(over="ignore"):  # an overflowing SD is rejected below
+        sd = r.values.std(axis=0, ddof=1)
+    for label, value in zip(r.labels, sd):
+        if not np.isfinite(value):
+            raise NumericalError(f"the SD of return column {label!r} overflows")
     return StatsSummary(
         labels=r.labels,
         mean=r.values.mean(axis=0),
-        sd=r.values.std(axis=0, ddof=1),
+        sd=sd,
         maximum=r.values.max(axis=0),
         minimum=r.values.min(axis=0),
         count=len(r),

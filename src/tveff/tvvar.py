@@ -287,7 +287,8 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
         _penalty=lam2 * penalty_count[:, None],
         _factor=np.empty_like(band),
     )
-    system.assemble(values)
+    with np.errstate(over="ignore"):  # solve() rejects normal equations that overflowed
+        system.assemble(values)
     return system
 
 

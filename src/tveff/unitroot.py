@@ -175,6 +175,10 @@ def adf_gls(y: np.ndarray, model: str = "trend", k_max: int | None = None) -> Ad
     if k_max is None:
         k_max = default_max_lag(T)
     yd = gls_detrend(y, model=model)
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        energy = yd @ yd
+    if not np.isfinite(energy):
+        raise NumericalError("the sum of squares of the detrended series overflows")
     scale = float(np.max(np.abs(yd))) if yd.size else 0.0
     if scale == 0.0 or np.var(yd) < 1e-24 * max(1.0, scale) ** 2:
         raise DataError("degenerate input: no variation after GLS detrending")

@@ -242,20 +242,19 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     prices = tmp_path / "prices.csv"
     prices.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    def run_into(out_dir: str, workers: int) -> dict[str, bytes]:
+    def run_into(out_dir: str) -> dict[str, bytes]:
         config = PipelineConfig.from_dict({
             "input_path": str(prices), "output_dir": str(tmp_path / out_dir),
             "q": 1, "lam": 1.0, "replications": 120, "coverage": 0.9,
-            "seed": 11, "min_run": 5, "workers": workers,
+            "seed": 11, "min_run": 5,
         })
         run_pipeline(config)
         return {p.name: p.read_bytes() for p in (tmp_path / out_dir).iterdir()
                 if p.name != "run_manifest.json"}
 
-    a = run_into("a", workers=1)
-    b = run_into("b", workers=1)
-    c = run_into("c", workers=4)
-    same = (a == b == c)
+    a = run_into("a")
+    b = run_into("b")
+    same = a == b
 
     # and a re-run driven by the manifest itself reproduces in place
     manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
@@ -265,7 +264,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     stable = before == after
 
     verdict("criterion 8 (pipeline determinism)", same and stable,
-            f"byte-identical across reruns and worker counts={same}; "
+            f"byte-identical across reruns={same}; "
             f"manifest-driven rerun stable={stable}")
 
 

@@ -114,15 +114,12 @@ class TestBootstrapSpec:
 class TestBootstrapBands:
     def test_reproducible_and_thread_invariant(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=1))
-        spec1 = BootstrapSpec(replications=120, coverage=0.9, seed=9, q=1, workers=1)
-        spec4 = BootstrapSpec(replications=120, coverage=0.9, seed=9, q=1, workers=4)
-        ep1 = bootstrap_bands(X, spec1)
-        ep4 = bootstrap_bands(X, spec4)
-        assert np.array_equal(ep1.band_lower, ep4.band_lower)
-        assert np.array_equal(ep1.band_upper, ep4.band_upper)
+        spec = BootstrapSpec(replications=120, coverage=0.9, seed=9, q=1)
+        ep1 = bootstrap_bands(X, spec)
         ep1b = bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9,
                                                 seed=9, q=1))
         assert np.array_equal(ep1.band_lower, ep1b.band_lower)
+        assert np.array_equal(ep1.band_upper, ep1b.band_upper)
 
     def test_given_path_gets_the_same_bands(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=7))
@@ -193,21 +190,20 @@ class TestBootstrapBands:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_band_order_statistics_match_full_sort(self, data):
-        # the replicated rows streamed through the workers' tail buffers
-        # give the order statistics of the full (B, m) array; NaN orders
-        # after +inf, as in np.sort
+        # the replicated rows streamed through the tail buffer give the
+        # order statistics of the full (B, m) array; NaN orders after +inf,
+        # as in np.sort
         B = data.draw(st.integers(100, 300))
         m = data.draw(st.integers(1, 3))
         coverage = data.draw(st.sampled_from([0.9, 0.6, 0.02]))
-        workers = data.draw(st.integers(1, 4))
         zstar = data.draw(hnp.arrays(np.float64, (B, m), elements=CELLS, fill=st.nothing()))
-        spec = BootstrapSpec(replications=B, coverage=coverage, q=1, workers=workers)
+        spec = BootstrapSpec(replications=B, coverage=coverage, q=1)
         k_lo, k_hi = spec.band_order_statistics()
         full = np.sort(zstar, axis=0)
         path = EfficiencyPath(dates=np.arange(m), zeta=np.zeros(m))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tveff.inference, "_replicated_zeta",
-                       lambda values, spec, lo, hi: iter(zstar[lo:hi].copy()))
+                       lambda values, spec: iter(zstar.copy()))
             ep = bootstrap_bands(np.zeros((m + 1, 1)), spec, path=path)
         assert np.array_equal(ep.band_lower, full[k_lo - 1], equal_nan=True)
         assert np.array_equal(ep.band_upper, full[k_hi - 1], equal_nan=True)
@@ -284,23 +280,12 @@ class TestNullReplications:
             values[:, -1] = 0.0
         spec = BootstrapSpec(replications=100, seed=n + 10 * q, lam=0.7, q=q)
         streams = np.random.SeedSequence(spec.seed).spawn(spec.replications)
-        # a block that starts past replication 0 draws the same streams
-        rows = [*tveff.inference._replicated_zeta(values, spec, 0, 37),
-                *tveff.inference._replicated_zeta(values, spec, 37, 100)]
+        rows = list(tveff.inference._replicated_zeta(values, spec))
         assert len(rows) == spec.replications
         for b, stream in enumerate(streams):
             fit = solve_tvvar(null_pseudo_sample(values, stream), q, spec.lam)
             assert np.array_equal(rows[b], zeta_from_coefficient_stack(fit.A_path),
                                   equal_nan=True), b
-
-    def test_workers_split_into_blocks_bit_identical(self):
-        X, _ = gen_returns(ScenarioSpec(kind="iid", T=100, n=2, sigma_eps=0.01, seed=12))
-        one = bootstrap_bands(X, BootstrapSpec(replications=101, coverage=0.9, seed=4, q=2,
-                                               workers=1))
-        three = bootstrap_bands(X, BootstrapSpec(replications=101, coverage=0.9, seed=4, q=2,
-                                                 workers=3))
-        assert one.band_lower.tobytes() == three.band_lower.tobytes()
-        assert one.band_upper.tobytes() == three.band_upper.tobytes()
 
 
 class TestClassifySegments:

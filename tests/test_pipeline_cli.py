@@ -205,17 +205,6 @@ class TestPipeline:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
-    def test_worker_count_does_not_change_artifacts(self, tmp_path):
-        prices, _ = synth_prices(tmp_path)
-        c1 = small_config(tmp_path, prices, output_dir=str(tmp_path / "w1"), workers=1)
-        c4 = small_config(tmp_path, prices, output_dir=str(tmp_path / "w4"), workers=4)
-        run_pipeline(c1)
-        run_pipeline(c4)
-        for p in (tmp_path / "w1").iterdir():
-            if p.name == "run_manifest.json":
-                continue
-            assert p.read_bytes() == (tmp_path / "w4" / p.name).read_bytes(), p.name
-
     def test_manifest_reproduces_run(self, tmp_path):
         prices, _ = synth_prices(tmp_path)
         config = small_config(tmp_path, prices)
@@ -444,18 +433,34 @@ class TestCli:
         np.testing.assert_array_equal(read_returns_csv(tmp_path / "out" / "returns.csv").dates,
                                       iso[1:])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("command", ["tvvar", "bootstrap"])
+    def test_ingest_accepts_a_leading_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8": a BOM, then CRLF line ends
+        text = "date,a\r\n2000-01-03,100\r\n2000-01-04,101\r\n2000-01-05,103\r\n"
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / f"{name}.csv").write_bytes(prefix + text.encode("utf-8"))
+            assert run_cli("ingest", "-i", str(tmp_path / f"{name}.csv"),
+                           "-o", str(tmp_path / name)) == 0
+        for artifact in ("prices_clean.csv", "returns.csv"):
+            assert (tmp_path / "bom" / artifact).read_bytes() == \
+                (tmp_path / "plain" / artifact).read_bytes(), artifact
+
+    @pytest.mark.parametrize("command", ["stats", "unitroot", "tvvar", "bootstrap"])
     def test_overflowing_returns_exit_code_3(self, tmp_path, capsys, command):
-        # finite returns whose products overflow the normal equations to inf
+        # finite returns whose squares and products overflow to inf; the
+        # one error line is all a command prints (warnings fail the suite)
         values = np.random.default_rng(0).normal(size=(300, 2)) * 1e160
         p_ret = tmp_path / "returns.csv"
         write_returns_csv(p_ret, ReturnMatrix(dates=np.datetime64("2000-01-03") + np.arange(300),
                                               values=values, labels=("a", "b")))
-        assert run_cli(command, "--returns", str(p_ret), "--q", "1",
+        order = ["--q", "1"] if command in ("tvvar", "bootstrap") else []
+        assert run_cli(command, "--returns", str(p_ret), *order,
                        "-o", str(tmp_path / "out")) == 3
-        assert capsys.readouterr().err == ("error: normal equations are not finite: the "
-                                           "products of the returns overflow\n")
+        message = {
+            "stats": "the SD of return column 'a' overflows",
+            "unitroot": "the sum of squares of the detrended series overflows",
+        }.get(command, "normal equations are not finite: the products of the returns overflow")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("case", ["outside-sample", "empty-regime"])
     def test_breakpoints_fail_before_bootstrap(self, tmp_path, capsys, monkeypatch, case):
@@ -645,6 +650,23 @@ class TestCli:
         assert run_cli("run", "--config", str(p)) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_workers_other_than_one_rejected_before_any_stage(self, tmp_path, capsys):
+        prices, _ = synth_prices(tmp_path)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"input_path": str(prices), "output_dir": str(tmp_path / "out"),
+                                 "replications": 120, "coverage": 0.9, "workers": 4}))
+        assert run_cli("run", "--config", str(p)) == 2
+        assert capsys.readouterr().err == "error: config key 'workers' must be 1, got 4\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bootstrap"])
+    def test_workers_flag_is_a_usage_error(self, tmp_path, command):
+        source = ["--config", str(tmp_path / "c.json")] if command == "run" else \
+            ["--returns", str(tmp_path / "returns.csv")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *source, "--workers", "2")
+        assert exc.value.code == 1
 
     def test_int_accepted_where_float_declared(self):
         config = PipelineConfig.from_dict({"input_path": "p.csv", "output_dir": "out",
