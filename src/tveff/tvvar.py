@@ -9,8 +9,11 @@ stays constant, so each equation solves
 with z_t the stacked lagged returns and ``lam`` the ratio of observation
 to coefficient-innovation noise.  The normal equations are block
 tridiagonal with k = n*q sized blocks; they are factorized as a banded
-Cholesky in O(m * k^3) time and O(m * k^2) memory per equation, with the
-intercept folded in afterwards through Schur-complement bordering.  The
+Cholesky M = L L' in O(m * k^3) time and O(m * k^2) memory, shared by
+every equation.  The intercept is folded in through Schur-complement
+bordering, which needs only forward solves: one pass with L over every
+equation's right-hand side and the intercept's border column yields the
+intercepts, and one backward pass with L' per equation the slopes.  The
 first period carries no extra prior, so initialization is diffuse: the
 first smoothness term simply couples periods one and two.
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import DataError, NumericalError
 from .series import ReturnMatrix, _coerce_values
@@ -76,12 +79,13 @@ class StackedSystem:
     data-dependent entry from a sample of the same shape, and ``solve``
     writes the slopes into ``beta``, so a refit allocates no band,
     factor, right-hand sides or slopes.  ``band`` is never overwritten
-    (it is factored in a copy); ``rhs`` and ``border`` hold their
-    solutions after ``solve`` until ``assemble`` refills them.  ``band``
-    is in Fortran order, and ``rhs`` and ``border`` are the columns of
-    one Fortran-order (m*k, n+1) array, so LAPACK factors and solves
-    them in place; the data-free parts (the smoothness penalty on the
-    diagonal, the -lam^2 cross row) are written once.
+    (it is factored in a copy); ``rhs`` and ``border`` hold their forward
+    solutions L^-1 rhs and L^-1 border after ``solve`` until ``assemble``
+    refills them.  ``band`` is in Fortran order, and ``rhs`` and
+    ``border`` are the columns of one Fortran-order (m*k, n+1) array, so
+    LAPACK factors and solves them in place; the data-free parts (the
+    smoothness penalty on the diagonal, the -lam^2 cross row) are
+    written once.
 
     Every per-refit pass runs along the period axis.  The sample is kept
     as a (n*(q+1), m) buffer with one contiguous row per series and lag:
@@ -100,7 +104,8 @@ class StackedSystem:
     beta: np.ndarray = field(repr=False)  # (m*k, n), Fortran order: slopes of each equation
     _columns: np.ndarray = field(repr=False)  # (m*k, n+1): rhs, then border
     _penalty: np.ndarray = field(repr=False)  # (m, 1): lam^2 times each period's penalty count
-    _factor: np.ndarray = field(repr=False)  # band-shaped Cholesky factor
+    _factor: np.ndarray = field(repr=False)  # band-shaped: L, then L' in upper band storage
+    _row: np.ndarray = field(repr=False)  # (m*k,): one band row in transit
 
     @property
     def rhs(self) -> np.ndarray:  # (m*k, n)
@@ -150,40 +155,63 @@ class StackedSystem:
     def solve(self) -> tuple[np.ndarray, float]:
         """Slopes into ``beta``; return the intercepts and a condition estimate.
 
-        Banded Cholesky of the band, one solve for every right-hand side
-        and the border, then Schur-complement bordering for the
-        intercept.  A sample with T-q < 5*n*q is rejected first.
+        With M = L L' the banded Cholesky factorization of the band, one
+        forward solve over the right-hand sides R and the border c gives
+        [F | f] = L^-1 [R | c].  Bordering needs nothing more, since
+        c'M^-1 c = f'f and c'M^-1 R = f'F: the intercepts are
+        nu = (rhs_border - F'f) / (m - f'f), and one backward solve with
+        L' over the n columns of F - f nu' gives the slopes, so a solve
+        makes n+1 forward and n backward triangular passes.  Between
+        them the factor is rearranged in place into L' in upper band
+        storage, on which the backward passes run faster than on L read
+        transposed.
+
+        A sample with T-q < 5*n*q is rejected first.  Finiteness is
+        checked only on failure: a band that overflowed fails the
+        factorization or its condition estimate, and a right-hand side
+        that overflowed makes the intercepts non-finite.
         """
         m, k = self.m, self.k
         if m < 5 * k:
             raise DataError(f"sample too short for TV-VAR: T-q={m} < 5*n*q={5 * k}")
         np.copyto(self._factor, self.band)
-        try:
-            factor = cholesky_banded(self._factor, overwrite_ab=True, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "normal matrix is not positive definite "
-                f"(m={m}, k={k}, lam={self.lam}); regressors may be collinear"
-            ) from exc
-        except ValueError as exc:  # cholesky_banded's finiteness check
-            raise NumericalError("normal equations are not finite: the products of the "
-                                 "returns overflow") from exc
-        fdiag = factor[0]
-        cond_est = float((fdiag.max() / fdiag.min()) ** 2)
-        if not np.isfinite(cond_est) or cond_est > 1e30:
+        factor, info = dpbtrf(self._factor, lower=1, overwrite_ab=1)
+        with np.errstate(all="ignore"):  # a non-finite estimate fails below
+            cond_est = float((factor[0].max() / factor[0].min()) ** 2)
+        if info != 0 or not cond_est <= 1e30:  # NaN included
+            if not np.isfinite(self.band).all():
+                raise NumericalError("normal equations are not finite: the products of the "
+                                     "returns overflow")
+            if info != 0:
+                raise NumericalError(
+                    "normal matrix is not positive definite "
+                    f"(m={m}, k={k}, lam={self.lam}); regressors may be collinear")
             raise NumericalError(f"normal matrix numerically singular (cond~{cond_est:.3e})")
 
-        border = self.border.copy()  # the solve overwrites the column with w
-        sol = cho_solve_banded((factor, True), self._columns, overwrite_b=True)
-        U, w = sol[:, :-1], sol[:, -1]
-
-        denom = m - float(border @ w)
+        dtbtrs(factor, self._columns, uplo="L", overwrite_b=1)
+        F, f = self.rhs, self.border
+        with np.errstate(all="ignore"):  # a non-finite right-hand side fails below
+            denom = m - float(f @ f)
+            nu = (self.rhs_border - f @ F) / denom
         if denom <= 0:
             raise NumericalError("intercept Schur complement is not positive")
-        nu = (self.rhs_border - border @ U) / denom
-        for e in range(nu.shape[0]):  # beta = U - outer(w, nu), one column at a time
-            np.multiply(w, nu[e], out=self.beta[:, e])
-            np.subtract(U[:, e], self.beta[:, e], out=self.beta[:, e])
+        if not np.isfinite(nu).all():
+            raise NumericalError("right-hand sides are not finite: the products of the "
+                                 "returns overflow")
+        beta = self.beta
+        for e in range(nu.shape[0]):  # F - outer(f, nu) into beta, one column at a time
+            np.multiply(f, nu[e], out=beta[:, e])
+            np.subtract(F[:, e], beta[:, e], out=beta[:, e])
+        # L' into upper band storage, in place: row d of the lower band,
+        # L[j+d, j] at column j, becomes row k-d shifted right by d
+        row, N = self._row, m * k
+        for d in range(k // 2 + 1):  # rows d and k-d trade places
+            e = k - d
+            row[: N - d] = factor[d, : N - d]
+            if e != d:
+                factor[d, e:] = factor[e, : N - e]
+            factor[e, d:] = row[: N - d]
+        dtbtrs(factor, beta, uplo="U", overwrite_b=1)
         return nu, cond_est
 
 
@@ -286,6 +314,7 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
         _columns=np.empty((m * k, n + 1), order="F"),
         _penalty=lam2 * penalty_count[:, None],
         _factor=np.empty_like(band),
+        _row=np.empty(m * k),
     )
     with np.errstate(over="ignore"):  # solve() rejects normal equations that overflowed
         system.assemble(values)

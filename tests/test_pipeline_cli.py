@@ -462,6 +462,19 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any((tmp_path / "out").iterdir())
 
+    def test_overflowing_right_hand_side_exit_code_3(self, tmp_path, capsys):
+        # the normal matrix is finite, but the last return times its lag overflows
+        values = np.random.default_rng(0).normal(size=(300, 2)) * 1e150
+        values[-1] = 1e300
+        p_ret = tmp_path / "returns.csv"
+        write_returns_csv(p_ret, ReturnMatrix(dates=np.datetime64("2000-01-03") + np.arange(300),
+                                              values=values, labels=("a", "b")))
+        assert run_cli("tvvar", "--returns", str(p_ret), "--q", "1", "--lam", "1e150",
+                       "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == ("error: right-hand sides are not finite: "
+                                           "the products of the returns overflow\n")
+        assert not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("case", ["outside-sample", "empty-regime"])
     def test_breakpoints_fail_before_bootstrap(self, tmp_path, capsys, monkeypatch, case):
         def bootstrap_bands(*args, **kwargs):

@@ -57,6 +57,23 @@ def test_cli_import_loads_only_scipy_linalg():
     assert loaded == []
 
 
+def test_failing_hypothesis_example_is_reported(tmp_path):
+    # reporting a failing example imports libcst, whose DeprecationWarning the
+    # suite's "error" filter alone turns into an INTERNALERROR ending the session
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(i):\n"
+        "    assert i != i\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.returncode == 1
+    assert "1 failed" in proc.stdout
+
+
 def test_readme_config_keys_are_the_config_fields():
     # the section's first sentence lists every key, annotations in parentheses
     text = (ROOT / "README.md").read_text(encoding="utf-8")

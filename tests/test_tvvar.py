@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from tveff.errors import DataError, NumericalError
 from tveff.series import _lagged
@@ -176,9 +176,12 @@ def row_major_system(values, q, lam):
     """The system assembled and solved row by row: the reference layout.
 
     (m, k) regressors from ``_lagged``, each band diagonal as one product
-    of column slices, the right-hand sides by broadcasting, and the
-    intercept bordered by an ``np.outer`` update.  ``StackedSystem`` runs
-    the same operations along the period axis, so every output must be
+    of column slices, the right-hand sides by broadcasting.  The solve
+    makes the same LAPACK calls on row-major copies: the lower factor,
+    one forward solve over the right-hand sides and the border, the
+    intercept bordered by an ``np.outer`` update, and the backward solve
+    with L' read off a dense transpose of L.  ``StackedSystem`` runs the
+    same operations along the period axis, so every output must be
     bit-identical.
     """
     T, n = values.shape
@@ -204,13 +207,21 @@ def row_major_system(values, q, lam):
     assembled = {"band": band, "rhs": columns[:, :-1].copy(), "border": columns[:, -1].copy(),
                  "rhs_border": np.sum(Y, axis=0)}
 
-    factor = cholesky_banded(band, lower=True)
-    sol = cho_solve_banded((factor, True), columns)
-    U, w = sol[:, :-1], sol[:, -1]
-    border = Z.ravel()
-    nu = (assembled["rhs_border"] - border @ U) / (m - float(border @ w))
-    beta = np.empty((m * k, n))
-    np.subtract(U, np.outer(w, nu, out=beta), out=beta)
+    factor, info = dpbtrf(np.ascontiguousarray(band), lower=1)
+    assert info == 0
+    forward, _ = dtbtrs(factor, np.ascontiguousarray(columns), uplo="L")
+    F, f = forward[:, :-1], forward[:, -1]
+    nu = (assembled["rhs_border"] - f @ F) / (m - float(f @ f))
+    G = np.empty((m * k, n))
+    np.subtract(F, np.outer(f, nu, out=G), out=G)
+    N = m * k
+    L = np.zeros((N, N))
+    for i in range(k + 1):
+        L[np.arange(i, N), np.arange(N - i)] = factor[i, : N - i]
+    upper = np.zeros((k + 1, N))  # upper band storage: upper[k-i, j] = L'[j-i, j]
+    for i in range(k + 1):
+        upper[k - i, i:] = np.diagonal(L.T, i)
+    beta, _ = dtbtrs(upper, G, uplo="U")
     return assembled, nu, beta
 
 
@@ -251,6 +262,31 @@ class TestRowMajorOracle:
         system.solve()
         assert not np.array_equal(slopes, before)
         np.testing.assert_array_equal(slopes, system.slopes)
+
+
+class TestDenseOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.floats(0.3, 3.0), st.sampled_from([None, "first", "second"]))
+    def test_solve_matches_dense_solve(self, n, q, seed, lam, zero_in):
+        # intercepts and slopes against a dense solve of the bordered normal
+        # equations, on a system built on one sample and refilled from a
+        # second; an all-zero series takes the anchoring branch
+        rng = np.random.default_rng(seed)
+        T = 5 * n * q + q + int(rng.integers(0, 20))
+        a, b = rng.normal(size=(T, n)), rng.normal(size=(T, n))
+        if zero_in is not None:
+            (a if zero_in == "first" else b)[:, int(rng.integers(0, n))] = 0.0
+        system = build_stacked_system(a, q, lam)
+        for values in (a, b):
+            if values is b:
+                system.assemble(b)
+            equations = [dense(system, e) for e in range(n)]  # before solve overwrites rhs
+            want = np.linalg.solve(equations[0][0], np.column_stack([r for _, r in equations]))
+            nu, _ = system.solve()
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(nu, want[-1], rtol=1e-9, atol=1e-9 * scale)
+            np.testing.assert_allclose(system.beta, want[:-1], rtol=1e-9, atol=1e-9 * scale)
 
 
 class TestSolveTvvar:
@@ -310,6 +346,22 @@ class TestSolveTvvar:
         X = np.hstack([col, col])  # identical series
         with pytest.raises(NumericalError, match="positive definite"):
             solve_tvvar(X, q=1, lam=1.0)
+
+    def test_singular_normal_matrix_raises(self):
+        # an all-zero series anchored by lam^2 = 1e-200 leaves a factor
+        # diagonal of 1e-100 beside entries of order one
+        X = np.random.default_rng(6).normal(0, 0.01, size=(100, 2))
+        X[:, 1] = 0.0
+        with pytest.raises(NumericalError, match="numerically singular"):
+            solve_tvvar(X, q=1, lam=1e-100)
+
+    def test_overflowing_right_hand_side_raises(self):
+        # returns near 1e150 keep the normal matrix finite; the last one,
+        # 1e300, times its lag overflows only on the right-hand side
+        X = np.random.default_rng(0).normal(size=(300, 2)) * 1e150
+        X[-1] = 1e300
+        with pytest.raises(NumericalError, match="right-hand sides are not finite"):
+            solve_tvvar(X, q=1, lam=1e150)
 
     def test_residuals_shape_and_diagnostics(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=150, n=2, seed=7))
