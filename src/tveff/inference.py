@@ -7,6 +7,9 @@ cross-correlation intact).  Each replication re-runs the full
 time-varying fit, intercept included, and the per-period efficiency
 degrees are reduced to equal-tail empirical quantiles.
 
+``bootstrap_bands(X, spec)`` solves ``X`` itself; a ``BootstrapSpec`` with
+too few replications for its coverage is rejected when it is built.
+
 One ``StackedSystem`` and one pseudo-sample buffer serve every
 replication: each overwrites them in place through the same
 ``assemble`` and ``solve`` as ``solve_tvvar``, so the replicated zeta
@@ -57,7 +60,7 @@ class BootstrapSpec:
     ``replications`` only through the band tails: at most
     tail + max(2 * tail, 64) rows of m float64 are kept, where tail =
     2 * k_lo + 1 for k_lo of ``band_order_statistics``.  ``seed`` must be
-    non-negative.
+    non-negative and ``replications`` enough for ``coverage``.
     """
 
     replications: int = 5000
@@ -77,6 +80,7 @@ class BootstrapSpec:
             raise DataError(f"lam must be positive with a finite nonzero square, got {self.lam}")
         if self.q < 1:
             raise DataError("q must be >= 1")
+        self.band_order_statistics()  # rejects too few replications for the coverage
 
     def band_order_statistics(self) -> tuple[int, int]:
         """1-based order statistics (lower, upper) of the per-period bands.
@@ -183,31 +187,14 @@ def _null_bands(values: np.ndarray, spec: BootstrapSpec) -> tuple[np.ndarray, np
     return tails[k_lo - 1].copy(), tails[k_lo].copy()
 
 
-def bootstrap_bands(
-    X: ReturnMatrix | np.ndarray,
-    spec: BootstrapSpec,
-    *,
-    path: EfficiencyPath | None = None,
-) -> EfficiencyPath:
-    """Efficiency path of ``X`` with equal-tail null bands attached.
+def bootstrap_bands(X: ReturnMatrix | np.ndarray, spec: BootstrapSpec) -> EfficiencyPath:
+    """Efficiency path of ``X``, solved here, with equal-tail null bands attached.
 
-    A zero-variance input yields the degenerate all-zero path with
-    zero-width bands rather than an error.  A caller that already holds
-    ``tv_efficiency_path(solve_tvvar(X, spec.q, spec.lam))`` passes it as
-    ``path`` and the bands are attached to it instead of solving the
-    original sample again.
+    An all-zero input yields the degenerate all-zero path with
+    zero-width bands rather than an error.
     """
-    spec.band_order_statistics()  # rejects too few replications before any solve
-
-    values, _, _ = _coerce_values(X)
-    if path is None:
-        path = tv_efficiency_path(solve_tvvar(X, q=spec.q, lam=spec.lam))
-    elif len(path) != values.shape[0] - spec.q:
-        raise DataError(
-            f"path has {len(path)} periods, expected T-q={values.shape[0] - spec.q}"
-        )
-
-    return path.with_bands(*_null_bands(values, spec))
+    path = tv_efficiency_path(solve_tvvar(X, q=spec.q, lam=spec.lam))
+    return path.with_bands(*_null_bands(_coerce_values(X)[0], spec))
 
 
 def classify_segments(path: EfficiencyPath, min_run: int = 20) -> list[Segment]:
@@ -255,18 +242,27 @@ def classify_segments(path: EfficiencyPath, min_run: int = 20) -> list[Segment]:
     return segments
 
 
+def _parse_breakpoints(breakpoints: list, dtype="datetime64[D]", name="breakpoints") -> np.ndarray:
+    """Breakpoints, strictly increasing, as ``dtype``; else a :class:`DataError` naming ``name``.
+
+    Under a datetime ``dtype`` each is an ISO date, read as the CSV reader reads dates.
+    """
+    try:
+        bps = (np.array([_parse_date(str(b)) for b in breakpoints], dtype="datetime64[D]")
+               if np.dtype(dtype).kind == "M" else np.asarray(breakpoints, dtype=dtype))
+    except ValueError as exc:
+        raise DataError(f"{name}: {exc}") from exc
+    if not (np.diff(bps) > 0).all():
+        raise DataError(f"{name} must be strictly increasing")
+    return bps
+
+
 def _regimes(dates: np.ndarray, breakpoints: list) -> tuple[np.ndarray, int]:
     """Regime of each date and the regime count, with :func:`regime_volatility`'s rules.
 
     Only dates are read, so ``run_pipeline`` checks breakpoints before any solve.
     """
-    dates = np.asarray(dates)
-    if dates.dtype.kind == "M":
-        bps = np.array([_parse_date(str(b)) for b in breakpoints], dtype="datetime64[D]")
-    else:
-        bps = np.asarray(breakpoints, dtype=dates.dtype)
-    if not (np.diff(bps) > 0).all():
-        raise DataError("breakpoints must be strictly increasing")
+    bps = _parse_breakpoints(breakpoints, dates.dtype)
     for b in bps:
         if b < dates[0] or b > dates[-1]:
             raise DataError(f"breakpoint {b} outside the sample")

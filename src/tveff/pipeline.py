@@ -35,8 +35,8 @@ import scipy
 
 from . import __version__
 from .errors import DataError, NumericalError
-from .inference import (BootstrapSpec, Segment, _regimes, bootstrap_bands, classify_segments,
-                        regime_volatility)
+from .inference import (BootstrapSpec, Segment, _parse_breakpoints, _regimes, bootstrap_bands,
+                        classify_segments, regime_volatility)
 from .series import (ReturnMatrix, StatsSummary, _parse_date, _parse_rows, _read_csv,
                      descriptive_stats, interpolate_missing, load_csv, log_returns)
 from .tvvar import EfficiencyPath, solve_tvvar, tv_efficiency_path
@@ -113,12 +113,7 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if not _has_type(value, hints[f.name]):
                 raise DataError(f"config key {f.name!r} must be {f.type}, got {value!r}")
-        try:
-            dates = [_parse_date(b) for b in self.breakpoints]
-        except ValueError as exc:
-            raise DataError(f"config key 'breakpoints': {exc}") from exc
-        if any(a >= b for a, b in zip(dates, dates[1:])):
-            raise DataError("config key 'breakpoints' must be strictly increasing")
+        _parse_breakpoints(self.breakpoints, name="config key 'breakpoints'")
         if self.unitroot_k_max is not None and self.unitroot_k_max < 0:
             raise DataError("config key 'unitroot_k_max' must be >= 0")
         if self.unitroot_model not in ("constant", "trend"):
@@ -131,7 +126,7 @@ class PipelineConfig:
             raise DataError("min_run must be >= 1")
         if self.workers != 1:
             raise DataError(f"config key 'workers' must be 1, got {self.workers}")
-        self.bootstrap_spec(1).band_order_statistics()
+        self.bootstrap_spec(1)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -398,10 +393,10 @@ def tvvar_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int
     return path, [p_tv, p_coef]
 
 
-def bootstrap_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int,
-                    path: EfficiencyPath | None = None) -> tuple[EfficiencyPath, list[Path]]:
-    """Banded efficiency path and its plot data; ``path`` is the solved original sample."""
-    ep = bootstrap_bands(returns, config.bootstrap_spec(q), path=path)
+def bootstrap_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix,
+                    q: int) -> tuple[EfficiencyPath, list[Path]]:
+    """Banded efficiency path and its plot data."""
+    ep = bootstrap_bands(returns, config.bootstrap_spec(q))
     plots = plot_data(ep, out)
     p_csv, p_json = out / "zeta_path.csv", out / "zeta_path.json"
     write_zeta_csv(p_csv, ep)
@@ -642,9 +637,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         stage = "var"
         track(var_stage(out, returns, q))
         stage = "tvvar"
-        raw_path = track(tvvar_stage(config, out, returns, q))
+        track(tvvar_stage(config, out, returns, q))
         stage = "bootstrap"
-        ep = track(bootstrap_stage(config, out, returns, q, path=raw_path))
+        ep = track(bootstrap_stage(config, out, returns, q))
         stage = "segments"
         segments = track(segments_stage(config, out, ep))
 

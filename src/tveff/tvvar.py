@@ -283,9 +283,11 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
     """Assemble the penalized normal equations for every equation at once.
 
     The regressors are shared across equations, so a single band and
-    border serve all right-hand sides.
+    border serve all right-hand sides.  A regressor that is constant and
+    nonzero is exactly collinear with the intercept: it is rejected here,
+    once per sample (not in ``assemble``), naming its series and lag.
     """
-    values, _, _ = _coerce_values(X)
+    values, labels, _ = _coerce_values(X)
     T, n = values.shape
     if q < 1:
         raise DataError("q must be >= 1")
@@ -318,6 +320,11 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
     )
     with np.errstate(over="ignore"):  # solve() rejects normal equations that overflowed
         system.assemble(values)
+    Z = system._lags[n:]
+    constant = np.flatnonzero((Z[:, 0] != 0.0) & (Z == Z[:, :1]).all(axis=1))
+    if constant.size:  # row l*n + j of Z is series j at lag l+1
+        raise NumericalError(f"series {labels[constant[0] % n]!r} is constant and nonzero at "
+                             f"lag {constant[0] // n + 1}: collinear with the intercept")
     return system
 
 
@@ -327,8 +334,8 @@ def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVar
     Output is deterministic: identical inputs give bit-identical paths
     regardless of caller threading.
     """
-    values, labels, dates = _coerce_values(X)
-    system = build_stacked_system(values, q, lam)
+    _, labels, dates = _coerce_values(X)
+    system = build_stacked_system(X, q, lam)
     nu, cond_est = system.solve()
     return TvVarFit(
         nu=nu,

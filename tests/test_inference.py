@@ -94,9 +94,8 @@ class TestBootstrapSpec:
         assert spec.band_order_statistics() == expected
 
     def test_too_few_replications_for_coverage(self):
-        spec = BootstrapSpec(replications=150, coverage=0.95, seed=0)
         with pytest.raises(DataError, match="too few replications"):
-            spec.band_order_statistics()
+            BootstrapSpec(replications=150, coverage=0.95, seed=0)
 
     def test_minimum_replications(self):
         with pytest.raises(DataError, match=">= 100"):
@@ -115,32 +114,16 @@ class TestBootstrapBands:
     def test_reproducible_and_thread_invariant(self):
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=1))
         spec = BootstrapSpec(replications=120, coverage=0.9, seed=9, q=1)
-        ep1 = bootstrap_bands(X, spec)
-        ep1b = bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9,
-                                                seed=9, q=1))
-        assert np.array_equal(ep1.band_lower, ep1b.band_lower)
-        assert np.array_equal(ep1.band_upper, ep1b.band_upper)
-
-    def test_given_path_gets_the_same_bands(self):
-        X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=7))
-        spec = BootstrapSpec(replications=120, coverage=0.9, seed=3, q=2)
-        for data in (X, X.values):  # an array's path is dated by position on both routes
-            own = bootstrap_bands(data, spec)
-            path = tv_efficiency_path(solve_tvvar(data, q=2, lam=spec.lam))
-            given = bootstrap_bands(data, spec, path=path)
-            for name in ("dates", "zeta", "band_lower", "band_upper", "efficient_flag"):
-                assert np.array_equal(getattr(given, name), getattr(own, name)), name
-        np.testing.assert_array_equal(own.dates, np.arange(len(own)))
-        with pytest.raises(DataError, match="periods"):
-            bootstrap_bands(X, BootstrapSpec(replications=120, coverage=0.9, seed=3, q=1),
-                            path=path)
-
-    def test_given_path_on_a_too_short_sample_rejected(self):
-        # the replications' own solves reject the sample when no solve_tvvar runs first
-        X = np.random.default_rng(4).normal(size=(12, 2))  # T-q = 10 < 5*n*q = 20
-        path = EfficiencyPath(dates=np.arange(10), zeta=np.zeros(10))
-        with pytest.raises(DataError, match="too short"):
-            bootstrap_bands(X, BootstrapSpec(replications=100, coverage=0.9, q=2), path=path)
+        for data in (X, X.values):  # an array's path is dated by position
+            ep1 = bootstrap_bands(data, spec)
+            ep1b = bootstrap_bands(data, BootstrapSpec(replications=120, coverage=0.9,
+                                                       seed=9, q=1))
+            assert np.array_equal(ep1.band_lower, ep1b.band_lower)
+            assert np.array_equal(ep1.band_upper, ep1b.band_upper)
+            solved = tv_efficiency_path(solve_tvvar(data, q=1, lam=spec.lam))
+            assert np.array_equal(ep1.dates, solved.dates)
+            assert np.array_equal(ep1.zeta, solved.zeta, equal_nan=True)
+        np.testing.assert_array_equal(ep1.dates, np.arange(len(ep1)))
 
     @pytest.mark.parametrize("lam", [np.inf, np.nan, 1e200, 10**200, 1e-200])
     def test_spec_rejects_lambda_with_no_finite_nonzero_square(self, lam):
@@ -182,9 +165,7 @@ class TestBootstrapBands:
 
         monkeypatch.setattr(tveff.inference, "zeta_from_coefficient_stack", counted)
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=120, n=2, sigma_eps=0.01, seed=8))
-        spec = BootstrapSpec(replications=100, coverage=0.9, seed=2, q=2)
-        path = tv_efficiency_path(solve_tvvar(X, q=2, lam=spec.lam))
-        bootstrap_bands(X, spec, path=path)
+        bootstrap_bands(X, BootstrapSpec(replications=100, coverage=0.9, seed=2, q=2))
         assert calls == [(118, 2, 2, 2)] * 100
 
     @settings(max_examples=60, deadline=None)
@@ -200,23 +181,21 @@ class TestBootstrapBands:
         spec = BootstrapSpec(replications=B, coverage=coverage, q=1)
         k_lo, k_hi = spec.band_order_statistics()
         full = np.sort(zstar, axis=0)
-        path = EfficiencyPath(dates=np.arange(m), zeta=np.zeros(m))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tveff.inference, "_replicated_zeta",
                        lambda values, spec: iter(zstar.copy()))
-            ep = bootstrap_bands(np.zeros((m + 1, 1)), spec, path=path)
-        assert np.array_equal(ep.band_lower, full[k_lo - 1], equal_nan=True)
-        assert np.array_equal(ep.band_upper, full[k_hi - 1], equal_nan=True)
+            lower, upper = tveff.inference._null_bands(np.zeros((m + 1, 1)), spec)
+        assert np.array_equal(lower, full[k_lo - 1], equal_nan=True)
+        assert np.array_equal(upper, full[k_hi - 1], equal_nan=True)
 
     def test_peak_memory_below_a_quarter_of_the_replication_array(self):
         # the replicated zeta are never held as one (B, m) array
         B, m = 2000, 500
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=m + 1, n=2, sigma_eps=0.01, seed=4))
         spec = BootstrapSpec(replications=B, coverage=0.95, seed=1, q=1)
-        path = tv_efficiency_path(solve_tvvar(X, q=1, lam=spec.lam))
         tracemalloc.start()
         try:
-            bootstrap_bands(X, spec, path=path)
+            bootstrap_bands(X, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,7 +257,7 @@ class TestNullReplications:
         values = 0.01 * np.random.default_rng([n, q]).standard_normal((T, n))
         if zero_series:
             values[:, -1] = 0.0
-        spec = BootstrapSpec(replications=100, seed=n + 10 * q, lam=0.7, q=q)
+        spec = BootstrapSpec(replications=100, coverage=0.9, seed=n + 10 * q, lam=0.7, q=q)
         streams = np.random.SeedSequence(spec.seed).spawn(spec.replications)
         rows = list(tveff.inference._replicated_zeta(values, spec))
         assert len(rows) == spec.replications
@@ -373,6 +352,10 @@ class TestRegimeVolatility:
         path = make_path(np.random.default_rng(13).random(10), flags=np.ones(10, bool))
         with pytest.raises(DataError, match="outside"):
             regime_volatility(path, ["2030-01-01"])
+        with pytest.raises(DataError, match="breakpoints: unparseable date 'garbage'"):
+            regime_volatility(path, ["garbage"])
+        with pytest.raises(DataError, match="breakpoints must be strictly increasing"):
+            regime_volatility(path, [str(path.dates[5]), str(path.dates[2])])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True),

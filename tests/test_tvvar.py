@@ -347,6 +347,32 @@ class TestSolveTvvar:
         with pytest.raises(NumericalError, match="positive definite"):
             solve_tvvar(X, q=1, lam=1.0)
 
+    @pytest.mark.parametrize("n, value", [(2, 0.01), (1, 1.0), (2, 0.5)])
+    def test_constant_return_column_raises(self, n, value):
+        # a constant nonzero regressor is collinear with the intercept, so
+        # the bordered system is singular whatever the sign of m - f'f
+        X = np.random.default_rng(1).normal(0, 0.01, size=(300, n))
+        X[:, 0] = value
+        with pytest.raises(NumericalError,
+                           match="series 'x1' is constant and nonzero at lag 1: collinear"):
+            solve_tvvar(X, q=1, lam=1.0)
+
+    def test_constant_lag_window_named(self):
+        # x2 varies only at T-2, which its lag-2 window 0..T-3 leaves out
+        X = np.random.default_rng(2).normal(0, 0.01, size=(200, 2))
+        X[:, 1] = 0.02
+        X[-2, 1] = 0.03
+        with pytest.raises(NumericalError, match="series 'x2' is constant and nonzero at lag 2"):
+            solve_tvvar(X, q=2, lam=1.0)
+
+    @pytest.mark.parametrize("T", [200, 2000])
+    def test_small_lambda_iid_still_solves(self, T):
+        # (m - f'f)/m is 3.5e-13 (T=200) and 4.1e-13 (T=2000) here, below
+        # the 2.1e-12 of a constant column: no threshold on it tells them apart
+        X = np.random.default_rng(3).normal(0, 0.01, size=(T, 2))
+        fit = solve_tvvar(X, q=2, lam=0.01 * 1e-6)
+        assert np.isfinite(fit.A_path).all() and np.isfinite(fit.nu).all()
+
     def test_singular_normal_matrix_raises(self):
         # an all-zero series anchored by lam^2 = 1e-200 leaves a factor
         # diagonal of 1e-100 beside entries of order one
