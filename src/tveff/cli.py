@@ -28,7 +28,6 @@ from . import __version__
 from .errors import DataError, NumericalError
 from .pipeline import (
     PipelineConfig,
-    StageError,
     _write_dated_csv,
     bootstrap_stage,
     emit_report,
@@ -311,16 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except StageError as exc:
+    except (DataError, NumericalError, OSError) as exc:  # OSError: a file not read or written
         print(f"error: {exc}", file=sys.stderr)
-        inner = exc.original
-        return EXIT_NUMERICAL if isinstance(inner, NumericalError) else EXIT_DATA
-    except (DataError, OSError) as exc:  # OSError: a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .errors import DataError
 from .series import ReturnMatrix, _coerce_values, _parse_date, _return_values
 from .tvvar import (
     EfficiencyPath,
+    _check_lam,
     build_stacked_system,
     solve_tvvar,
     tv_efficiency_path,
@@ -76,8 +77,7 @@ class BootstrapSpec:
             raise DataError(f"coverage must be in (0, 1), got {self.coverage}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        if not (self.lam > 0 and 0.0 < float(self.lam) * float(self.lam) < np.inf):
-            raise DataError(f"lam must be positive with a finite nonzero square, got {self.lam}")
+        _check_lam(self.lam)
         if self.q < 1:
             raise DataError("q must be >= 1")
         self.band_order_statistics()  # rejects too few replications for the coverage
@@ -133,16 +133,15 @@ def _replicated_zeta(values: np.ndarray, spec: BootstrapSpec):
     """
     T = values.shape[0]
     mean = values.mean(axis=0)
-    centered = values - mean
+    # every pseudo-sample row is a row of draws, so one check covers all B
+    draws = _return_values((values - mean) + mean)
     system = build_stacked_system(values, spec.q, spec.lam)
     pseudo = np.empty_like(values)
     A_stack = system.slopes  # a view: every solve rewrites it in place
     for b in range(spec.replications):
         stream = np.random.SeedSequence(spec.seed, spawn_key=(b,))
         idx = np.random.default_rng(stream).integers(0, T, size=T)
-        np.take(centered, idx, axis=0, out=pseudo)
-        pseudo += mean
-        _return_values(pseudo)  # rejects a non-finite pseudo-sample
+        np.take(draws, idx, axis=0, out=pseudo)
         system.assemble(pseudo)
         system.solve()
         yield zeta_from_coefficient_stack(A_stack)

@@ -45,7 +45,6 @@ from .var import ConstancyTest, fit_var, hansen_lc, newey_west_cov, select_lag_s
 
 __all__ = [
     "PipelineConfig",
-    "StageError",
     "run_pipeline",
     "resolve_q",
     "ingest_stage", "stats_stage", "unitroot_stage", "var_stage",
@@ -57,13 +56,6 @@ __all__ = [
     "write_zeta_csv",
     "read_zeta_csv",
 ]
-
-class StageError(RuntimeError):
-    """Failure inside a named pipeline stage."""
-
-    def __init__(self, stage: str, original: BaseException):
-        super().__init__(f"stage {stage!r} failed: {original}")
-        self.original = original
 
 
 def _has_type(value, declared) -> bool:
@@ -612,7 +604,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage, writing artifacts into ``config.output_dir``.
 
     On a stage failure all artifacts written by this run are removed and
-    a :class:`StageError` naming the stage is raised.
+    the error is raised again as its own type, its message prefixed with
+    ``stage '<name>' failed: `` and the original as ``__cause__``.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -656,6 +649,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 p.unlink(missing_ok=True)
             except OSError:
                 pass
-        raise StageError(stage, exc) from exc
+        raise type(exc)(f"stage {stage!r} failed: {exc}") from exc
 
     return PipelineResult(artifacts=written, q=q, segments=segments)

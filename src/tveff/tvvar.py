@@ -64,6 +64,9 @@ _FAST_COND_LIMIT = 1e8
 # trigonometric eigenvalue formula is below this; above it the formula's
 # rounding stays within about 1e-13 relative.
 _DOUBLE_ROOT_MARGIN = 1e-6
+# Centred unit-norm lag rows with a smallest singular value below sqrt(eps)
+# are collinear: their Gram matrix, squaring it, is singular to working precision.
+_COLLINEAR_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
@@ -283,17 +286,18 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
     """Assemble the penalized normal equations for every equation at once.
 
     The regressors are shared across equations, so a single band and
-    border serve all right-hand sides.  A regressor that is constant and
-    nonzero is exactly collinear with the intercept: it is rejected here,
-    once per sample (not in ``assemble``), naming its series and lag.
+    border serve all right-hand sides.  The bordered system is singular
+    exactly when the lag rows that are not all zero (those are anchored),
+    once centred, are linearly dependent.  That is checked here, once per
+    sample: a constant row, then the centred rows scaled to unit norm (so
+    units do not matter) by their smallest singular value.  Either is a
+    :class:`NumericalError` naming the series and lags at fault.
     """
     values, labels, _ = _coerce_values(X)
     T, n = values.shape
     if q < 1:
         raise DataError("q must be >= 1")
-    lam2 = float(lam) * float(lam)  # in floats: an int's exact square never exceeds inf
-    if not (lam > 0 and 0.0 < lam2 < np.inf):
-        raise DataError(f"lam (lambda) must be positive with a finite nonzero square, got {lam}")
+    lam2 = _check_lam(lam)
     m = T - q
     if m < 2:
         raise DataError(f"need at least q+2 observations, got T={T}")
@@ -320,12 +324,33 @@ def build_stacked_system(X: ReturnMatrix | np.ndarray, q: int, lam: float) -> St
     )
     with np.errstate(over="ignore"):  # solve() rejects normal equations that overflowed
         system.assemble(values)
-    Z = system._lags[n:]
-    constant = np.flatnonzero((Z[:, 0] != 0.0) & (Z == Z[:, :1]).all(axis=1))
-    if constant.size:  # row l*n + j of Z is series j at lag l+1
-        raise NumericalError(f"series {labels[constant[0] % n]!r} is constant and nonzero at "
-                             f"lag {constant[0] // n + 1}: collinear with the intercept")
+    Z = system._lags[n:]  # row l*n + j is series j at lag l+1
+    live = np.flatnonzero(np.any(Z != 0.0, axis=1))
+    if live.size:
+        # each row over its largest magnitude first: nothing below can
+        # overflow, and a constant row becomes exactly +-1, centred to 0
+        rows = Z[live] / np.abs(Z[live]).max(axis=1, keepdims=True)
+        rows -= rows.mean(axis=1, keepdims=True)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        if not norms.all():
+            r = live[np.argmin(norms)]
+            raise NumericalError(f"series {labels[r % n]!r} is constant and nonzero at "
+                                 f"lag {r // n + 1}: collinear with the intercept")
+        u, sv, _ = np.linalg.svd(rows / norms, full_matrices=False)
+        if sv[-1] < _COLLINEAR_TOL:  # u[:, -1] weighs the rows of a null combination
+            named = ", ".join(f"{labels[r % n]!r} at lag {r // n + 1}"
+                              for r in live[np.abs(u[:, -1]) > _COLLINEAR_TOL])
+            raise NumericalError(f"lagged returns are collinear with the intercept or each "
+                                 f"other: {named} (smallest singular value {sv[-1]:.1e})")
     return system
+
+
+def _check_lam(lam) -> float:
+    """``lam`` squared; a :class:`DataError` unless it is positive with a finite nonzero square."""
+    lam2 = float(lam) * float(lam)  # in floats: an int's exact square never exceeds inf
+    if not (lam > 0 and 0.0 < lam2 < np.inf):
+        raise DataError(f"lam (lambda) must be positive with a finite nonzero square, got {lam}")
+    return lam2
 
 
 def solve_tvvar(X: ReturnMatrix | np.ndarray, q: int, lam: float = 1.0) -> TvVarFit:

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tveff.cli import main
-from tveff.errors import DataError
+from tveff.errors import DataError, NumericalError
 from tveff.inference import classify_segments
 from tveff.pipeline import (
     PipelineConfig,
-    StageError,
     _write_dated_csv,
     _write_json,
     emit_report,
@@ -219,10 +218,24 @@ class TestPipeline:
 
     def test_missing_input_fails_in_ingest_with_no_artifacts(self, tmp_path):
         config = small_config(tmp_path, tmp_path / "missing.csv")
-        with pytest.raises(StageError, match="ingest"):
+        with pytest.raises(DataError, match="stage 'ingest' failed"):
             run_pipeline(config)
         out = Path(config.output_dir)
         assert not any(out.iterdir())
+
+    def test_numerical_failure_keeps_its_type_and_cause(self, tmp_path, monkeypatch):
+        def solve_tvvar(*args, **kwargs):
+            raise NumericalError("normal matrix is not positive definite")
+
+        monkeypatch.setattr("tveff.pipeline.solve_tvvar", solve_tvvar)
+        prices, _ = synth_prices(tmp_path)
+        config = small_config(tmp_path, prices)
+        with pytest.raises(NumericalError) as info:
+            run_pipeline(config)
+        assert str(info.value) == "stage 'tvvar' failed: normal matrix is not positive definite"
+        assert type(info.value.__cause__) is NumericalError
+        assert str(info.value.__cause__) == "normal matrix is not positive definite"
+        assert not any(Path(config.output_dir).iterdir())
 
     def test_breakpoints_make_regime_rows(self, tmp_path):
         prices, returns = synth_prices(tmp_path)
@@ -473,6 +486,20 @@ class TestCli:
                        "-o", str(tmp_path / "out")) == 3
         assert capsys.readouterr().err == ("error: right-hand sides are not finite: "
                                            "the products of the returns overflow\n")
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_constant_combination_exit_code_3(self, tmp_path, capsys):
+        # b = 0.5 - a: neither series is constant, their sum is
+        x1 = np.random.default_rng(0).normal(0, 0.01, size=300)
+        p_ret = tmp_path / "returns.csv"
+        write_returns_csv(p_ret, ReturnMatrix(dates=np.datetime64("2000-01-03") + np.arange(300),
+                                              values=np.column_stack([x1, 0.5 - x1]),
+                                              labels=("a", "b")))
+        assert run_cli("tvvar", "--returns", str(p_ret), "--q", "1",
+                       "-o", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: lagged returns are collinear") and err.count("\n") == 1
+        assert "'a' at lag 1, 'b' at lag 1" in err
         assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("case", ["outside-sample", "empty-regime"])
