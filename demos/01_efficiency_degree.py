@@ -8,7 +8,7 @@ from the identity, as a spectral norm.
 
 import numpy as np
 
-from tveff import efficiency_degree
+from tveff.var import efficiency_degree
 
 ###############################################################################
 # An efficient market: every slope matrix is zero.

@@ -8,15 +8,8 @@ random-walk drift is the motivation for moving to a time-varying model.
 
 import numpy as np
 
-from tveff import (
-    ScenarioSpec,
-    efficiency_degree,
-    fit_var,
-    gen_returns,
-    hansen_lc,
-    newey_west_cov,
-    select_lag_sbic,
-)
+from tveff.synth import ScenarioSpec, gen_returns
+from tveff.var import efficiency_degree, fit_var, hansen_lc, newey_west_cov, select_lag_sbic
 
 ###############################################################################
 # Simulate a bivariate return panel whose slope coefficients drift as

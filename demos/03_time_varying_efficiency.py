@@ -8,7 +8,8 @@ and the fitted path follows it.
 
 import numpy as np
 
-from tveff import ScenarioSpec, gen_returns, solve_tvvar, true_zeta_path, tv_efficiency_path
+from tveff.synth import ScenarioSpec, gen_returns, true_zeta_path
+from tveff.tvvar import solve_tvvar, tv_efficiency_path
 
 ###############################################################################
 # Returns whose AR(1) coefficient swings between -0.4 and 0.4 every 250

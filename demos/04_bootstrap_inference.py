@@ -8,14 +8,8 @@ pure noise produces; the band quantiles then classify each period.
 
 import numpy as np
 
-from tveff import (
-    BootstrapSpec,
-    ScenarioSpec,
-    bootstrap_bands,
-    classify_segments,
-    gen_returns,
-    regime_volatility,
-)
+from tveff.inference import BootstrapSpec, bootstrap_bands, classify_segments, regime_volatility
+from tveff.synth import ScenarioSpec, gen_returns
 
 ###############################################################################
 # A market that drifts in and out of efficiency.

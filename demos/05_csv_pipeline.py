@@ -11,18 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from tveff import (
-    PipelineConfig,
-    ScenarioSpec,
-    adf_gls,
-    descriptive_stats,
-    emit_report,
-    gen_returns,
-    interpolate_missing,
-    load_csv,
-    log_returns,
-    run_pipeline,
-)
+from tveff.pipeline import PipelineConfig, emit_report, run_pipeline
+from tveff.series import descriptive_stats, interpolate_missing, load_csv, log_returns
+from tveff.synth import ScenarioSpec, gen_returns
+from tveff.unitroot import adf_gls
 
 workdir = Path(tempfile.mkdtemp(prefix="tveff_demo_"))
 

@@ -121,6 +121,15 @@ def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
     return best_q
 
 
+def _active_columns(W: np.ndarray) -> np.ndarray:
+    """Mask of the regressor columns that are not identically zero.
+
+    An all-zero column (a zero return series) has a zero coefficient by
+    definition, so the fit and its covariance work on the others only.
+    """
+    return np.any(W != 0.0, axis=0)
+
+
 def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
     """Least-squares VAR(q) with intercept, equation by equation.
 
@@ -137,9 +146,8 @@ def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
 
     W = np.column_stack([np.ones(T - q), _lagged(values, q)])  # (1, x'_{t-1}, ..., x'_{t-q})
     Y = values[q:]
-    # identically-zero regressor columns get zero coefficients; any other
-    # rank deficiency is a genuine collinearity problem
-    active = np.any(W != 0.0, axis=0)
+    # any rank deficiency among the active columns is a genuine collinearity problem
+    active = _active_columns(W)
     coef = np.zeros((p, n))
     sub, _, rank, _ = np.linalg.lstsq(W[:, active], Y, rcond=None)
     if rank < int(active.sum()):
@@ -175,13 +183,19 @@ def newey_west_cov(fit: VarFit) -> HacCovariance:
 
     The bandwidth is L = floor(4 * (T/100)^(2/9)) on the estimation
     sample, which is at least 1 and below T.  No small-sample
-    degrees-of-freedom adjustment is applied.
+    degrees-of-freedom adjustment is applied.  The Gram matrix is inverted
+    over the columns :func:`fit_var` estimates; an all-zero regressor
+    column's coefficient is zero by definition, and its standard error and
+    covariances are 0.
     """
     W = fit.regressors
     nobs, p = W.shape
     L = int(np.floor(4.0 * (nobs / 100.0) ** (2.0 / 9.0)))
 
-    gram_inv = np.linalg.inv(W.T @ W)
+    active = _active_columns(W)
+    Wa = W[:, active]  # one operand on both sides keeps numpy's symmetric Gram product
+    gram_inv = np.zeros((p, p))
+    gram_inv[np.ix_(active, active)] = np.linalg.inv(Wa.T @ Wa)
     n = fit.n_series
     cov = np.empty((n, p, p))
     for j in range(n):

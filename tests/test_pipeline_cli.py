@@ -30,6 +30,7 @@ from tveff.pipeline import (
 from tveff.series import ReturnMatrix, load_csv
 from tveff.synth import ScenarioSpec, gen_returns, true_zeta_path
 from tveff.tvvar import EfficiencyPath, solve_tvvar
+from tveff.unitroot import adf_gls
 
 
 def synth_prices(tmp_path, name="prices.csv", **kw):
@@ -632,6 +633,53 @@ class TestCli:
         repaired = list(csv.reader(io.StringIO(clean)))[4]
         assert repaired[0] == "2020-01-04"
         assert abs(float(repaired[1]) - 104.0) < 1e-9
+
+    def test_ingest_no_interpolate(self, tmp_path, capsys):
+        rows = [f"2020-01-{d:02d},{100 + d},{50 + 2 * d}" for d in range(1, 9)]
+        text = "date,a,b\n" + "\n".join(rows) + "\n"
+        p_full, p_gap = tmp_path / "full.csv", tmp_path / "gap.csv"
+        p_full.write_text(text, encoding="utf-8")
+        p_gap.write_text(text.replace("2020-01-04,104", "2020-01-04,"), encoding="utf-8")
+        assert run_cli("ingest", "-i", str(p_gap), "-o", str(tmp_path / "gap"),
+                       "--no-interpolate") == 2
+        assert capsys.readouterr().err == (
+            "error: input has missing prices and interpolation is disabled\n")
+        assert not list((tmp_path / "gap").glob("*"))
+        # without gaps the flag changes nothing
+        assert run_cli("ingest", "-i", str(p_full), "-o", str(tmp_path / "off"),
+                       "--no-interpolate") == 0
+        assert run_cli("ingest", "-i", str(p_full), "-o", str(tmp_path / "on")) == 0
+        for artifact in ("prices_clean.csv", "returns.csv"):
+            assert (tmp_path / "off" / artifact).read_bytes() == \
+                (tmp_path / "on" / artifact).read_bytes(), artifact
+
+    def test_unitroot_constant_model(self, tmp_path):
+        prices, _ = synth_prices(tmp_path)
+        assert run_cli("ingest", "-i", str(prices), "-o", str(tmp_path / "ing")) == 0
+        p_ret = tmp_path / "ing" / "returns.csv"
+        assert run_cli("unitroot", "--returns", str(p_ret), "--model", "constant",
+                       "-o", str(tmp_path / "out")) == 0
+        table1 = json.loads((tmp_path / "out" / "table1.json").read_text(encoding="utf-8"))
+        assert table1["model"] == "constant"
+        assert table1["critical_values"]["1%"] == -2.57
+        returns = read_returns_csv(p_ret)
+        for j, row in enumerate(table1["columns"]):
+            oracle = adf_gls(returns.values[:, j], model="constant")
+            assert (row["adf_gls"], row["lags"]) == (oracle.statistic, oracle.selected_lag)
+
+    def test_var_with_a_zero_return_column_exit_code_3(self, tmp_path, capsys):
+        # a constant price is an all-zero return column: the HAC covariance leaves
+        # it out, and the constancy test's moment matrix is singular
+        a = 100.0 * np.exp(np.cumsum(np.random.default_rng(0).normal(0, 0.01, size=300)))
+        dates = np.datetime64("2000-01-03") + np.arange(300)
+        p = tmp_path / "prices.csv"
+        p.write_text("date,a,b\n" + "".join(f"{d},{float(v)!r},100.0\n" for d, v in zip(dates, a)),
+                     encoding="utf-8")
+        assert run_cli("ingest", "-i", str(p), "-o", str(tmp_path / "ing")) == 0
+        assert run_cli("var", "--returns", str(tmp_path / "ing" / "returns.csv"), "--q", "1",
+                       "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == "error: singular moment outer-product matrix\n"
+        assert not list((tmp_path / "out").glob("table2.*"))
 
     def test_chained_equals_single_shot(self, tmp_path):
         prices, _ = synth_prices(tmp_path, T=200, period=100.0)

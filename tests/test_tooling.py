@@ -104,6 +104,16 @@ def test_readme_artifacts_are_the_written_artifacts(tmp_path):
     assert sorted(readme_artifact_names()) == sorted(p.name for p in result.artifacts)
 
 
+def test_readme_module_table_names_every_module():
+    # each name is imported from its module, and this table is where a reader finds them
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## What is inside\n", 1)[1].strip().split("\n\n", 1)[0]
+    named = [name for row in table.splitlines()[2:]
+             for name in re.findall(r"`(tveff\.\w+)`", row.split(" | ", 1)[0])]
+    assert sorted(named) == sorted(f"tveff.{info.name}"
+                                   for info in pkgutil.iter_modules(tveff.__path__))
+
+
 @pytest.mark.parametrize("module", ["tveff"] + [
     f"tveff.{info.name}" for info in pkgutil.iter_modules(tveff.__path__)])
 def test_all_names_resolve(module):

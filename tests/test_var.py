@@ -216,6 +216,17 @@ class TestNeweyWest:
             fit = fit_var(rng.normal(size=(T, 1)), 1)
             assert 1 <= newey_west_cov(fit).bandwidth < fit.nobs
 
+    def test_zero_column_left_out(self):
+        # a zero return series: its coefficients' standard errors are 0, and the
+        # other equation's match the VAR fitted without that series
+        for seed in range(3):
+            a = np.random.default_rng(seed).normal(0, 0.01, size=300)
+            hac = newey_west_cov(fit_var(np.column_stack([a, np.zeros(300)]), 1))
+            alone = newey_west_cov(fit_var(a[:, None], 1))
+            np.testing.assert_allclose(hac.se[:2, 0], alone.se[:, 0], rtol=1e-12)
+            np.testing.assert_allclose(hac.cov[0][:2, :2], alone.cov[0], rtol=1e-12)
+            assert not hac.se[2].any() and not hac.cov[:, 2].any() and not hac.cov[:, :, 2].any()
+
 
 class TestHansenLc:
     def test_stable_parameters_below_5pct_and_matches_oracle(self):
