@@ -17,7 +17,9 @@ The spline is :func:`_natural_spline`, a step-for-step copy of scipy's
 ``CubicSpline(x, y, bc_type="natural")`` that returns the same bits.  It
 is written out here because importing ``scipy.interpolate`` (which also
 loads ``scipy.optimize`` and ``scipy.special``) was about half of every
-``tveff`` command's start-up time; the package needs only ``scipy.linalg``.
+``tveff`` command's start-up time.  Its tridiagonal system is solved by
+LAPACK's ``dgtsv`` from :mod:`tveff._lapack`, the call scipy's
+``solve_banded`` makes, without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._lapack import dgtsv
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -269,12 +271,14 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Follows scipy's ``CubicSpline(x, y, bc_type="natural")(xi)`` step by
     step, so the result is the same bits: the same (3, n) tridiagonal
-    system for the knot slopes, solved by ``solve_banded``; the same
+    system for the knot slopes, solved by ``dgtsv`` with the arguments
+    ``solve_banded((1, 1), ...)`` passes it; the same
     Hermite coefficients; PPoly's power-sum evaluation order
     ((c3 + c2 d) + c1 d^2) + c0 d^3.  Points outside [x[0], x[-1]]
-    extend the end pieces.  Unlike CubicSpline it checks nothing: the
-    knots must be at least two, finite and strictly increasing, and the
-    values finite, as :func:`interpolate_missing` guarantees.
+    extend the end pieces.  Unlike CubicSpline it checks only LAPACK's
+    status (a :class:`NumericalError` if it is not 0): the knots must be
+    at least two, finite and strictly increasing, and the values finite,
+    as :func:`interpolate_missing` guarantees.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -288,7 +292,9 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[0] = 3 * (y[1] - y[0])
     b[-1] = 3 * (y[-1] - y[-2])
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    s, info = dgtsv(A[-1, :-1], A[1], A[0, 1:], b, 1, 1, 1, 1)[3:]
+    if info != 0:
+        raise NumericalError(f"dgtsv failed on the spline slope system (info {info})")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0, c1 = t / dx, (slope - s[:-1]) / dx - t
     i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, x.size - 2)
@@ -303,7 +309,8 @@ def interpolate_missing(s: PriceSeries) -> PriceSeries:
     :class:`PriceSeries` holds positive and finite; boundary
     observations must be present (no extrapolation), and at least four
     support points are required per column.  Non-missing cells are
-    returned unchanged bit-for-bit.
+    returned unchanged bit-for-bit.  A filled value that overflows is a
+    :class:`NumericalError`, one at or below zero a :class:`DataError`.
     """
     filled = s.prices.copy()
     idx = np.arange(len(s), dtype=np.float64)
@@ -323,12 +330,15 @@ def interpolate_missing(s: PriceSeries) -> PriceSeries:
                 f"column {s.labels[j]!r}: needs >= 4 observed points, "
                 f"got {int(support.sum())}"
             )
-        filled[col_missing, j] = _natural_spline(idx[support], s.prices[support, j],
-                                                 idx[col_missing])
-        if (filled[col_missing, j] <= 0).any():
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite fill is rejected below
+            fill = _natural_spline(idx[support], s.prices[support, j], idx[col_missing])
+        if not np.isfinite(fill).all():
+            raise NumericalError(f"column {s.labels[j]!r}: the spline through its prices overflows")
+        if (fill <= 0).any():
             raise DataError(
                 f"column {s.labels[j]!r}: spline produced a non-positive price"
             )
+        filled[col_missing, j] = fill
     return PriceSeries(s.dates.copy(), filled, s.labels)
 
 

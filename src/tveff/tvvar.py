@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dtbtrs
 
+from ._lapack import dpbtrf, dtbtrs
 from .errors import DataError, NumericalError
 from .series import ReturnMatrix, _coerce_values
 

@@ -489,6 +489,19 @@ class TestCli:
                                            "the products of the returns overflow\n")
         assert not any((tmp_path / "out").iterdir())
 
+    def test_overflowing_spline_fill_exit_code_3(self, tmp_path, capsys):
+        # finite prices near the float limit whose spline through a gap overflows
+        a = ["1e307" if t % 2 == 0 else "1.7e308" for t in range(60)]
+        a[30] = ""
+        p = tmp_path / "prices.csv"
+        p.write_text("date,a,b\n" + "".join(
+            f"{np.datetime64('2000-01-03') + t},{a[t]},{100 + t % 7}\n" for t in range(60)),
+            encoding="utf-8")
+        assert run_cli("ingest", "-i", str(p), "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == \
+            "error: column 'a': the spline through its prices overflows\n"
+        assert not (tmp_path / "out" / "returns.csv").exists()
+
     def test_constant_combination_exit_code_3(self, tmp_path, capsys):
         # b = 0.5 - a: neither series is constant, their sum is
         x1 = np.random.default_rng(0).normal(0, 0.01, size=300)

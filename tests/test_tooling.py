@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import re
@@ -46,15 +47,58 @@ def test_traced_counts_name_wrapped_spans(monkeypatch):
     assert set(traced.COUNTS) <= spans
 
 
-def test_cli_import_loads_only_scipy_linalg():
-    # scipy.interpolate alone once took about 0.4 s of every tveff start-up
-    code = ("import sys, tveff.cli; print(' '.join(m for m in sys.modules if m in "
-            "('scipy.interpolate', 'scipy.optimize', 'scipy.special', 'scipy.stats')))")
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports ``tveff`` from src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout.split()
-    assert loaded == []
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy_subpackage():
+    # scipy.interpolate alone once took about 0.4 s of every tveff start-up, and
+    # scipy.linalg's package init most of what was left; tveff._lapack loads
+    # only the compiled scipy.linalg._flapack
+    code = ("import sys, tveff.cli; print(' '.join(m for m in sys.modules if m in "
+            "('scipy.interpolate', 'scipy.linalg', 'scipy.optimize', 'scipy.special', "
+            "'scipy.stats')))")
+    assert run_fresh(code).split() == []
+
+
+def test_cli_run_loads_no_scipy_linalg(tmp_path):
+    # every stage, spline repair and bootstrap included, calls only tveff._lapack
+    returns, _ = gen_returns(ScenarioSpec(kind="iid", T=300, n=2, sigma_eps=0.01, seed=1))
+    prices = np.exp(np.cumsum(np.vstack([np.zeros((1, 2)), returns.values]), axis=0))
+    prices[150, 0] = np.nan  # one gap for the spline
+    _write_dated_csv(tmp_path / "p.csv", np.concatenate([[returns.dates[0] - 1], returns.dates]),
+                     prices, returns.labels)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"input_path": str(tmp_path / "p.csv"), "q": 1,
+                                  "output_dir": str(tmp_path / "run"),
+                                  "replications": 100, "coverage": 0.9}), encoding="utf-8")
+    code = ("import sys; from tveff.cli import main; "
+            f"print(main(['run', '--config', {str(config)!r}]), 'scipy.linalg' in sys.modules)")
+    assert run_fresh(code).split()[-2:] == ["0", "False"]
+
+
+LAPACK_IS_SCIPYS = ("import tveff._lapack as own, scipy.linalg.lapack as ref; "
+                    "print(all(getattr(own, f) is getattr(ref, f) for f in own.__all__))")
+
+
+def test_lapack_loader_gives_scipys_own_routines():
+    # loaded first, from the file; scipy.linalg imported afterwards must reuse it
+    assert run_fresh(LAPACK_IS_SCIPYS).split() == ["True"]
+
+
+def test_lapack_loader_fallback_gives_scipys_own_routines():
+    # the direct load failing sends the loader through scipy.linalg itself
+    code = ("import importlib.util\n"
+            "def fail(*args, **kwargs):\n"
+            "    raise ImportError('no direct load')\n"
+            "importlib.util.spec_from_file_location = fail\n"
+            "import tveff._lapack, sys\n"
+            "print('scipy.linalg' in sys.modules)\n" + LAPACK_IS_SCIPYS)
+    assert run_fresh(code).split() == ["True", "True"]
 
 
 def test_failing_hypothesis_example_is_reported(tmp_path):
