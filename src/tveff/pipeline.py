@@ -11,9 +11,10 @@ directory and its upstream values to ``(value, written paths)``.
 :func:`run_pipeline` chains them; each ``tveff`` stage subcommand calls
 the same function on artifacts read back from disk.
 
-Every CSV artifact is written by :func:`_write_csv` under one cell rule,
-:func:`_cell`: floats in shortest round-trip form, empty for NaN, flags as
-``true``/``false``, RFC 4180 quoting, ``\n`` line ends.  Artifacts read back
+Every CSV artifact is written by :func:`_write_columns` under one cell
+rule, :func:`_cell`: floats in shortest round-trip form, empty for NaN,
+flags as ``true``/``false``, RFC 4180 quoting, ``\n`` line ends; a float,
+day, flag or text array is formatted a column at a time.  Artifacts read back
 exactly, through the CSV reader and date parser of :mod:`tveff.series`, and
 re-runs compare byte-identically; JSON uses sorted keys and NaN as null.
 """
@@ -31,9 +32,9 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import __version__
+from ._lapack import scipy_version
 from .errors import DataError, NumericalError
 from .inference import (BootstrapSpec, Segment, _parse_breakpoints, _regimes, bootstrap_bands,
                         classify_segments, regime_volatility)
@@ -170,24 +171,49 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows`` as one CSV artifact, each cell by :func:`_cell`."""
+def _column_cells(values) -> list[str]:
+    """One column's cells by :func:`_cell`, formatted a column at a time.
+
+    A float64 array is one ``repr`` map and a day array one ``str`` map,
+    each with its NaN, infinite or NaT cells blanked, a bool array one
+    lookup per cell and a string array its own cells; any other column goes
+    through ``_cell`` cell by cell.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "U":
+            return values.tolist()
+        if values.dtype == np.bool_:
+            return [("false", "true")[x] for x in values.tolist()]
+        if values.dtype in (np.float64, "datetime64[D]"):
+            cells = list(map(repr if values.dtype == np.float64 else str, values.tolist()))
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                cells[i] = ""
+            return cells
+        values = values.tolist()
+    return list(map(_cell, values))
+
+
+def _write_columns(path: Path, header: list[str], columns) -> None:
+    """Write ``header`` and the rows ``zip(*columns)`` as one CSV artifact.
+
+    Each cell is written by :func:`_cell`, an array column's cells as the
+    elements of its ``tolist()``.
+    """
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(x) for x in row] for row in rows)
+        writer.writerows(zip(*map(_column_cells, columns)))
 
 
 def _write_records(path: Path, records: list[dict]) -> None:
     """Records sharing one key order, written under their keys as the header."""
-    _write_csv(path, list(records[0]), (r.values() for r in records))
+    _write_columns(path, list(records[0]), zip(*(r.values() for r in records)))
 
 
 def _write_dated_csv(path: Path, dates: np.ndarray, values: np.ndarray,
                      labels: tuple[str, ...]) -> None:
     """A ``date`` column and one column per label: the price and returns format."""
-    _write_csv(path, ["date", *labels],
-               ([d, *row] for d, row in zip(dates.tolist(), values.tolist())))
+    _write_columns(path, ["date", *labels], [dates, *values.T])
 
 
 def _jsonable(x):
@@ -251,8 +277,8 @@ _REGIME_HEADER = ["regime", "start", "end", "sd_zeta", "efficient_share", "count
 
 def write_zeta_csv(path: Path, ep: EfficiencyPath) -> None:
     bands = (ep.band_lower, ep.band_upper, ep.efficient_flag)
-    _write_csv(path, _ZETA_HEADER, zip(ep.dates.tolist(), ep.zeta.tolist(), *(
-        [None] * len(ep) if col is None else col.tolist() for col in bands)))
+    _write_columns(path, _ZETA_HEADER, [ep.dates, ep.zeta, *(
+        np.full(len(ep), "") if col is None else col for col in bands)])
 
 
 def read_zeta_csv(path: str | Path) -> EfficiencyPath:
@@ -318,10 +344,12 @@ def stats_stage(out: Path, returns: ReturnMatrix) -> tuple[StatsSummary, list[Pa
 def unitroot_stage(config: PipelineConfig, out: Path,
                    returns: ReturnMatrix) -> tuple[list[AdfGlsResult], list[Path]]:
     """ADF-GLS test per column; writes Table 1 with the descriptive statistics."""
-    tests = [
-        adf_gls(returns.values[:, j], model=config.unitroot_model, k_max=config.unitroot_k_max)
-        for j in range(returns.n_columns)
-    ]
+    tests = []
+    for label, column in zip(returns.labels, returns.values.T):
+        try:
+            tests.append(adf_gls(column, model=config.unitroot_model, k_max=config.unitroot_k_max))
+        except DataError as exc:
+            raise DataError(f"series {label!r}: {exc}") from exc
     rows = _stats_rows(descriptive_stats(returns))
     for row, t in zip(rows, tests):  # N stays the last column
         row.update(adf_gls=t.statistic, lags=t.selected_lag, phi_hat=t.phi_hat, n=row.pop("n"))
@@ -350,7 +378,7 @@ def var_stage(out: Path, returns: ReturnMatrix, q: int) -> tuple[ConstancyTest, 
     rows.append(["adj_r2", *fit.adj_r2])
     rows.append(["Lc", lc.lc_statistic, *[None] * (fit.n_series - 1)])
     p_csv, p_json = out / "table2.csv", out / "table2.json"
-    _write_csv(p_csv, ["term", *fit.labels], rows)
+    _write_columns(p_csv, ["term", *fit.labels], zip(*rows))
     _write_json(p_json, {
         "q": fit.q,
         "labels": list(fit.labels),
@@ -376,12 +404,11 @@ def tvvar_stage(config: PipelineConfig, out: Path, returns: ReturnMatrix, q: int
     write_zeta_csv(p_tv, path)
     if coef_out is None:
         return path, [p_tv]
-    dates = fit.dates.tolist()
+    t, l, i, j = np.indices(fit.A_path.shape).reshape(4, -1)  # A_path's entries in order
+    labels = np.array(fit.labels)
     p_coef = Path(coef_out)
-    _write_csv(p_coef, ["date", "lag", "equation", "regressor", "value"], (
-        (dates[t], l + 1, fit.labels[i], fit.labels[j], value)
-        for (t, l, i, j), value in zip(np.ndindex(fit.A_path.shape), fit.A_path.ravel().tolist())
-    ))
+    _write_columns(p_coef, ["date", "lag", "equation", "regressor", "value"],
+                   [fit.dates[t], l + 1, labels[i], labels[j], fit.A_path.ravel()])
     return path, [p_tv, p_coef]
 
 
@@ -409,11 +436,12 @@ def segments_stage(config: PipelineConfig, out: Path,
     segments = classify_segments(ep, min_run=config.min_run)
     summary = regime_volatility(ep, config.breakpoints)
     p_seg, p_reg = out / "segments.csv", out / "regimes.csv"
-    _write_csv(p_seg, _SEGMENT_HEADER, ((s.start, s.end, s.label, s.mean_zeta) for s in segments))
-    _write_csv(p_reg, _REGIME_HEADER, zip(
+    _write_columns(p_seg, _SEGMENT_HEADER,
+                   zip(*((s.start, s.end, s.label, s.mean_zeta) for s in segments)))
+    _write_columns(p_reg, _REGIME_HEADER, [
         range(1, len(summary.sd) + 1), summary.starts, summary.ends,
         summary.sd, summary.efficient_share, summary.counts,
-    ))
+    ])
     return segments, [p_seg, p_reg]
 
 
@@ -432,13 +460,10 @@ def plot_data(ep: EfficiencyPath, out_dir: str | Path) -> tuple[Path, Path]:
         raise DataError("path has no bands; nothing to plot")
     out_dir = Path(out_dir)
     svg = _svg_chart(ep)  # raises before anything is written
-    dates = ep.dates.tolist()
     p_csv = out_dir / "zeta_plot.csv"
-    _write_csv(p_csv, ["date", "series", "value"], (
-        (d, name, v)
-        for name, arr in (("zeta", ep.zeta), ("lower", ep.band_lower), ("upper", ep.band_upper))
-        for d, v in zip(dates, arr.tolist())
-    ))
+    _write_columns(p_csv, ["date", "series", "value"], [
+        np.tile(ep.dates, 3), np.repeat(["zeta", "lower", "upper"], len(ep)),
+        np.concatenate([ep.zeta, ep.band_lower, ep.band_upper])])
     p_svg = out_dir / "zeta_plot.svg"
     p_svg.write_text(svg, encoding="utf-8")
     return p_csv, p_svg
@@ -458,16 +483,12 @@ def _svg_chart(ep: EfficiencyPath) -> str:
     m = len(ep)
     inner_w, inner_h = width - 2 * margin, height - 2 * margin
 
-    def x_px(i: int) -> float:
-        return margin + (inner_w * i / max(m - 1, 1))
-
-    def y_px(v: float) -> float:
-        return margin + inner_h * (1.0 - (v - y_min) / span)
+    x_px = margin + (inner_w * np.arange(m) / max(m - 1, 1))
 
     def polyline(arr: np.ndarray, style: str) -> str:
-        pts = " ".join(
-            f"{x_px(i):.2f},{y_px(arr[i]):.2f}" for i in range(m) if np.isfinite(arr[i])
-        )
+        keep = np.isfinite(arr)
+        y_px = margin + inner_h * (1.0 - (arr[keep] - y_min) / span)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(x_px[keep].tolist(), y_px.tolist()))
         return f'<polyline fill="none" {style} points="{pts}"/>'
 
     parts = [
@@ -595,7 +616,7 @@ def _versions() -> dict[str, str]:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version(),
         "tveff": __version__,
     }
 
@@ -603,9 +624,10 @@ def _versions() -> dict[str, str]:
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage, writing artifacts into ``config.output_dir``.
 
-    On a stage failure all artifacts written by this run are removed and
-    the error is raised again as its own type, its message prefixed with
-    ``stage '<name>' failed: `` and the original as ``__cause__``.
+    On any exception all artifacts written by this run are removed.  A
+    data, numerical or file error is then raised again as its own type, its
+    message prefixed with ``stage '<name>' failed: `` and the original as
+    ``__cause__``; any other exception propagates unchanged.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -643,12 +665,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         p_man = out / "run_manifest.json"
         _write_json(p_man, {"config": asdict(config), "versions": _versions()})
         written.append(p_man)
-    except (DataError, NumericalError, OSError) as exc:
+    except BaseException as exc:
         for p in written:
             try:
                 p.unlink(missing_ok=True)
             except OSError:
                 pass
-        raise type(exc)(f"stage {stage!r} failed: {exc}") from exc
+        if isinstance(exc, (DataError, NumericalError, OSError)):
+            raise type(exc)(f"stage {stage!r} failed: {exc}") from exc
+        raise
 
     return PipelineResult(artifacts=written, q=q, segments=segments)

@@ -401,9 +401,11 @@ def _zeta_closed_form(A_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Uses ``Phi(1) - I = S^{-1} A_sum`` with ``S = I - A_sum``, so a small
     lag sum is not lost to cancellation in ``S^{-1} - I``.  n = 1:
     zeta = |a / (1 - a)| and the condition is 1 (NaN when S is zero or
-    not finite).  n = 2: adjugate inverse, and cond = s_max^2 / |det S|
-    since s_max * s_min = |det S|.  n = 3: adjugate by cofactors, the
-    Frobenius bound cond_F = ||S||_F ||adj S||_F / |det S| >= cond_2,
+    not finite).  n = 2: adjugate inverse, and the Frobenius bound
+    ||S||_F^2 / |det S| = cond_2 + 1 / cond_2 >= cond_2, since
+    s_max * s_min = |det S| and ||adj S||_F = ||S||_F.  n = 3: adjugate by
+    cofactors, the Frobenius bound
+    cond_F = ||S||_F ||adj S||_F / |det S| >= cond_2,
     and s_max of M = adj(S) A_sum as the square root of the largest
     eigenvalue of M'M by the trigonometric formula for symmetric 3x3
     matrices (Smith 1961, CACM 4:168); zeta = s_max(M) / |det S|, or NaN
@@ -419,7 +421,7 @@ def _zeta_closed_form(A_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             e, f, g, h = A_sum[:, 0, 0], A_sum[:, 0, 1], A_sum[:, 1, 0], A_sum[:, 1, 1]
             a, b, c, d = 1.0 - e, -f, -g, 1.0 - h  # S = [[a, b], [c, d]]
             det = np.abs(a * d - b * c)
-            cond = _sigma_max_2x2(a, b, c, d) ** 2 / det
+            cond = (a * a + b * b + c * c + d * d) / det
             # adj(S) @ A_sum, divided by |det S| after the singular value
             zeta = _sigma_max_2x2(d * e - b * g, d * f - b * h,
                                   a * g - c * e, a * h - c * f) / det

@@ -32,6 +32,11 @@ __all__ = [
 
 C_BAR = {"constant": -7.0, "trend": -13.5}
 
+# A lag column whose distance from the span of the columns before it is
+# below this share of its norm makes the ADF Gram matrix singular to
+# working precision, since the Gram matrix squares it.
+_COLLINEAR_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+
 # Asymptotic critical values of the detrended ADF t-ratio.  The
 # constant-only case follows the no-deterministics Dickey-Fuller law;
 # the trend-case 1% value is pinned at -3.42 (regression-tested).
@@ -126,6 +131,48 @@ def _adf_regression(yd: np.ndarray, k: int, t_start: int) -> tuple[float, float,
     return float(coef[0]), se0, rss, coef[1:]
 
 
+def _mbic_values(yd: np.ndarray, k_max: int) -> np.ndarray:
+    """MBIC(k) for k = 0..k_max, every candidate from one QR of the largest design.
+
+    The candidates are nested: candidate k regresses on the first k + 1
+    columns of ``W = [yd_{t-1}, d(yd)_{t-1}, ..., d(yd)_{t-k_max}]``.  With
+    ``W = QR`` and ``b = Q' d(yd)_t``, candidate k's residual sum of squares
+    is the full model's plus ``sum_{i>k} b_i^2``, and its level coefficient
+    is ``sum_{i<=k} (R^-1)_{0i} b_i``, because the leading block of ``R^-1``
+    inverts the leading block of ``R`` (Golub & Van Loan, Matrix
+    Computations, 4th ed., 5.3).  A column that is a linear combination of
+    the ones before it to within sqrt(eps) of its norm, where the Gram
+    matrix of :func:`_adf_regression` would be singular to working
+    precision, is a :class:`DataError` naming that lag.
+    """
+    T = yd.shape[0]
+    n_pen = T - k_max
+    rows = np.arange(k_max + 1, T)
+    dy = np.diff(yd)
+    lhs = dy[rows - 1]
+    W = np.column_stack([yd[rows - 1], *(dy[rows - 1 - j] for j in range(1, k_max + 1))])
+    level_energy = float(W[:, 0] @ W[:, 0])
+    if level_energy == 0.0 and not np.any(yd):
+        raise DataError("detrended series is identically zero")
+    Q, R = np.linalg.qr(W)
+    collinear = ~(np.abs(np.diag(R)) > _COLLINEAR_TOL * np.linalg.norm(W, axis=0))
+    if collinear.any():
+        j = int(np.argmax(collinear))
+        what = "the lagged level" if j == 0 else f"lagged difference {j}"
+        raise DataError(f"ADF-GLS lag design is collinear: {what} is a linear combination "
+                        "of the regressors before it")
+    b = Q.T @ lhs
+    resid = lhs - Q @ b
+    tail = np.append(np.cumsum((b * b)[:0:-1])[::-1], 0.0)  # sum_{i>k} b_i^2
+    rss = float(resid @ resid) + tail
+    if not rss.min() > 0:
+        raise DataError("zero residual variance in lag-selection regression")
+    beta0 = np.cumsum(np.linalg.inv(R)[0] * b)
+    sigma2 = rss / n_pen
+    tau = beta0 * beta0 * level_energy / sigma2
+    return np.log(sigma2) + np.log(n_pen) * (tau + np.arange(k_max + 1)) / n_pen
+
+
 def mbic_lag_select(y_detrended: np.ndarray, k_max: int) -> int:
     """Choose the ADF lag order by the modified BIC.
 
@@ -135,6 +182,8 @@ def mbic_lag_select(y_detrended: np.ndarray, k_max: int) -> int:
 
         MBIC(k) = ln(rss_k / N) + ln(N) * (tau(k) + k) / N,
         tau(k) = beta0_k^2 * sum(yd[t-1]^2) / (rss_k / N).
+
+    The smallest k attaining the minimum is chosen.
     """
     yd = np.asarray(y_detrended, dtype=np.float64).ravel()
     T = yd.shape[0]
@@ -142,25 +191,9 @@ def mbic_lag_select(y_detrended: np.ndarray, k_max: int) -> int:
         raise DataError("k_max must be nonnegative")
     if T - k_max < 20:
         raise DataError(f"k_max={k_max} too large for T={T} (need T - k_max >= 20)")
-    n_pen = T - k_max
-    t_start = k_max + 1
-    rows = np.arange(t_start, T)
-    level_energy = float(np.sum(yd[rows - 1] ** 2))
-    if level_energy == 0.0 and not np.any(yd):
-        raise DataError("detrended series is identically zero")
-
-    penalty = float(np.log(n_pen))
-    best_k, best_mic = 0, np.inf
-    for k in range(k_max + 1):
-        beta0, _, rss, _ = _adf_regression(yd, k, t_start)
-        sigma2 = rss / n_pen
-        if sigma2 <= 0:
-            raise DataError("zero residual variance in lag-selection regression")
-        tau = beta0 * beta0 * level_energy / sigma2
-        mic = float(np.log(sigma2) + penalty * (tau + k) / n_pen)
-        if mic < best_mic:
-            best_mic, best_k = mic, k
-    return best_k
+    if T - k_max - 1 <= k_max + 1:  # the largest candidate has no residual degree of freedom
+        raise DataError("too few observations for the requested lag order")
+    return int(np.argmin(_mbic_values(yd, k_max)))
 
 
 def adf_gls(y: np.ndarray, model: str = "trend", k_max: int | None = None) -> AdfGlsResult:

@@ -17,6 +17,8 @@ from tveff.errors import DataError, NumericalError
 from tveff.inference import classify_segments
 from tveff.pipeline import (
     PipelineConfig,
+    _cell,
+    _write_columns,
     _write_dated_csv,
     _write_json,
     emit_report,
@@ -179,6 +181,51 @@ class TestRoundTrips:
                 assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), name
 
 
+# cells the old per-row writer saw: every float class, flags, absent cells, text
+FLOAT_CELLS = (st.floats(width=64) | st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+               | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of one length, each as an array or a list of Python objects."""
+    m = draw(st.integers(0, 8))
+    kinds = {
+        "float": hnp.arrays(np.float64, m, elements=FLOAT_CELLS),
+        "day": hnp.arrays("datetime64[D]", m, elements=st.dates().map(np.datetime64)
+                          | st.just(np.datetime64("NaT"))),
+        "bool": hnp.arrays(np.bool_, m),
+        "int": hnp.arrays(np.int64, m),
+        "float32": hnp.arrays(np.float32, m),
+        "seconds": hnp.arrays("datetime64[s]", m),
+        "text": hnp.arrays(np.dtype("U8"), m, elements=LABELS),
+        "objects": st.lists(FLOAT_CELLS | st.booleans() | st.none() | st.integers() | LABELS
+                            | st.dates(), min_size=m, max_size=m),
+    }
+    return draw(st.lists(st.sampled_from(sorted(kinds)).flatmap(kinds.get), min_size=1,
+                         max_size=5))
+
+
+def write_rows(path, header, rows):
+    """The per-row writer every CSV artifact once went through: ``_cell`` on each cell."""
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+class TestColumnWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_columns())
+    def test_same_bytes_as_the_row_writer(self, tmp_path_factory, columns):
+        out = tmp_path_factory.mktemp("columns")
+        header = [f"c{j}" for j in range(len(columns))]
+        _write_columns(out / "columns.csv", header, columns)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        write_rows(out / "rows.csv", header, rows)
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
 class TestPipeline:
     def test_full_run_artifacts(self, tmp_path):
         prices, _ = synth_prices(tmp_path)
@@ -236,6 +283,20 @@ class TestPipeline:
         assert str(info.value) == "stage 'tvvar' failed: normal matrix is not positive definite"
         assert type(info.value.__cause__) is NumericalError
         assert str(info.value.__cause__) == "normal matrix is not positive definite"
+        assert not any(Path(config.output_dir).iterdir())
+
+    def test_any_failure_removes_artifacts_and_propagates_unchanged(self, tmp_path, monkeypatch):
+        error = RuntimeError("not a data, numerical or file error")
+
+        def fit_var(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("tveff.pipeline.fit_var", fit_var)
+        prices, _ = synth_prices(tmp_path)
+        config = small_config(tmp_path, prices)
+        with pytest.raises(RuntimeError) as info:
+            run_pipeline(config)
+        assert info.value is error
         assert not any(Path(config.output_dir).iterdir())
 
     def test_breakpoints_make_regime_rows(self, tmp_path):
@@ -328,6 +389,22 @@ class TestPlotData:
         every = np.concatenate([vals["zeta"], vals["lower"], vals["upper"]])
         assert y_min == every.min() and y_max == every.max()
 
+    def test_svg_points_match_per_point_arithmetic(self, tmp_path):
+        # the pixel formulas applied one period at a time, as scalars
+        ep = self.make_banded_path(57)
+        ep.zeta[[0, 9, 10]] = np.nan
+        ep.band_upper[30] = np.inf
+        _, p_svg = plot_data(ep, tmp_path)
+        finite = np.concatenate([a[np.isfinite(a)] for a in (ep.zeta, ep.band_lower,
+                                                              ep.band_upper)])
+        y_min, y_max = float(finite.min()), float(finite.max())
+        m = len(ep)
+        want = [" ".join(f"{50 + (700 * i / (m - 1)):.2f},"
+                         f"{50 + 300 * (1.0 - (arr[i] - y_min) / (y_max - y_min)):.2f}"
+                         for i in range(m) if np.isfinite(arr[i]))
+                for arr in (ep.band_lower, ep.band_upper, ep.zeta)]
+        assert re.findall(r'points="([^"]*)"', p_svg.read_text()) == want
+
     def test_constant_zero_path_flat_lines(self, tmp_path):
         m = 10
         ep = EfficiencyPath(
@@ -358,6 +435,29 @@ class TestCli:
         assert run_cli("run", "--config", str(p)) == 2
         err = capsys.readouterr().err
         assert "ingest" in err
+
+    def test_prices_bouncing_between_two_levels_exit_code_2(self, tmp_path, capsys):
+        # returns of "a" repeat with period 2, so its ADF lag design is
+        # collinear; the random walk "b" beside it is ordinary
+        rng = np.random.default_rng(4)
+        returns = np.column_stack([0.01 * (-1.0) ** np.arange(600),
+                                   0.01 * rng.standard_normal(600)])
+        levels = 100.0 * np.exp(np.vstack([np.zeros((1, 2)), np.cumsum(returns, axis=0)]))
+        prices = tmp_path / "prices.csv"
+        _write_dated_csv(prices, np.datetime64("2000-01-03") + np.arange(601), levels, ("a", "b"))
+        message = ("series 'a': ADF-GLS lag design is collinear: lagged difference 3 is a "
+                   "linear combination of the regressors before it")
+        assert run_cli("ingest", "-i", str(prices), "-o", str(tmp_path / "ing")) == 0
+        assert run_cli("unitroot", "--returns", str(tmp_path / "ing" / "returns.csv"),
+                       "-o", str(tmp_path / "ur")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any((tmp_path / "ur").iterdir())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input_path": str(prices), "output_dir": str(tmp_path / "run"),
+                                   "q": 1, "replications": 120, "coverage": 0.9}))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == f"error: stage 'unitroot' failed: {message}\n"
+        assert not any((tmp_path / "run").iterdir())
 
     @pytest.mark.parametrize("body", [
         "2000-01-03,0.1,\n", "2000-01-03,0.1\n", "2000-13-03,0.1,0.2\n", ",0.1,0.2\n",

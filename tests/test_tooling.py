@@ -56,17 +56,24 @@ def run_fresh(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy_subpackage():
-    # scipy.interpolate alone once took about 0.4 s of every tveff start-up, and
-    # scipy.linalg's package init most of what was left; tveff._lapack loads
-    # only the compiled scipy.linalg._flapack
-    code = ("import sys, tveff.cli; print(' '.join(m for m in sys.modules if m in "
-            "('scipy.interpolate', 'scipy.linalg', 'scipy.optimize', 'scipy.special', "
-            "'scipy.stats')))")
-    assert run_fresh(code).split() == []
+    # scipy.interpolate alone once took about 0.4 s of every tveff start-up,
+    # scipy.linalg's package init most of what was left, and scipy's own
+    # package init a few ms more; tveff._lapack loads only the compiled
+    # scipy.linalg._flapack, and reads the version from scipy/version.py
+    code = "import sys, tveff.cli; print(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+    assert run_fresh(code).split() == ["scipy.linalg._flapack"]
+
+
+def test_manifest_scipy_version_is_scipys():
+    code = ("from tveff.pipeline import _versions; import scipy; "
+            "print(_versions()['scipy'], scipy.__version__)")
+    own, ref = run_fresh(code).split()
+    assert own == ref
 
 
 def test_cli_run_loads_no_scipy_linalg(tmp_path):
-    # every stage, spline repair and bootstrap included, calls only tveff._lapack
+    # every stage, spline repair and bootstrap included, calls only tveff._lapack,
+    # and the manifest reads scipy's version without importing scipy
     returns, _ = gen_returns(ScenarioSpec(kind="iid", T=300, n=2, sigma_eps=0.01, seed=1))
     prices = np.exp(np.cumsum(np.vstack([np.zeros((1, 2)), returns.values]), axis=0))
     prices[150, 0] = np.nan  # one gap for the spline
@@ -77,8 +84,9 @@ def test_cli_run_loads_no_scipy_linalg(tmp_path):
                                   "output_dir": str(tmp_path / "run"),
                                   "replications": 100, "coverage": 0.9}), encoding="utf-8")
     code = ("import sys; from tveff.cli import main; "
-            f"print(main(['run', '--config', {str(config)!r}]), 'scipy.linalg' in sys.modules)")
-    assert run_fresh(code).split()[-2:] == ["0", "False"]
+            f"print(main(['run', '--config', {str(config)!r}]), "
+            "*(m for m in sys.modules if m.startswith('scipy')))")
+    assert run_fresh(code).splitlines()[-1].split() == ["0", "scipy.linalg._flapack"]
 
 
 LAPACK_IS_SCIPYS = ("import tveff._lapack as own, scipy.linalg.lapack as ref; "
@@ -98,6 +106,17 @@ def test_lapack_loader_fallback_gives_scipys_own_routines():
             "importlib.util.spec_from_file_location = fail\n"
             "import tveff._lapack, sys\n"
             "print('scipy.linalg' in sys.modules)\n" + LAPACK_IS_SCIPYS)
+    assert run_fresh(code).split() == ["True", "True"]
+
+
+def test_scipy_version_fallback_imports_scipy():
+    code = ("import importlib.util\n"
+            "def fail(*args, **kwargs):\n"
+            "    raise ImportError('no direct load')\n"
+            "importlib.util.spec_from_file_location = fail\n"
+            "from tveff._lapack import scipy_version\n"
+            "import scipy, sys\n"
+            "print(scipy_version() == scipy.__version__, 'scipy.version' in sys.modules)")
     assert run_fresh(code).split() == ["True", "True"]
 
 

@@ -572,6 +572,20 @@ class TestZetaProperties:
         assert not flagged.any()
         np.testing.assert_allclose(zeta, efficiency_degree(A0), rtol=1e-13, atol=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_stacks(n_values=(2, 3)))
+    def test_condition_estimate_bounds_svd_condition(self, A):
+        # the estimate routes a period to the closed form only below
+        # _FAST_COND_LIMIT, so it must not understate cond_2; in exact
+        # arithmetic n = 2 gives cond + 1/cond.  Both sides round by about
+        # cond * eps, the tolerance of test_matches_svd_oracle.  Periods past
+        # COND_LIMIT are flagged by the SVD whatever the estimate says.
+        _, estimate = _zeta_closed_form(A.sum(axis=1))
+        with np.errstate(over="ignore"):  # cond of a subnormal s_min
+            _, _, cond = svd_zeta(A)
+        kept = cond <= COND_LIMIT
+        assert (estimate[kept] >= cond[kept] * (1.0 - cond[kept] * 1e-14)).all()
+
     @settings(max_examples=100, deadline=None)
     @given(coefficient_stacks(), st.data())
     def test_same_bits_for_any_memory_layout(self, A, data):

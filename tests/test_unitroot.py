@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tveff.errors import DataError
-from tveff.unitroot import CRITICAL_VALUES, adf_gls, default_max_lag, gls_detrend, mbic_lag_select
+from tveff.unitroot import (CRITICAL_VALUES, _mbic_values, adf_gls, default_max_lag, gls_detrend,
+                            mbic_lag_select)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,36 @@ class TestMbicLagSelect:
         with pytest.raises(DataError, match="k_max"):
             mbic_lag_select(np.random.default_rng(0).standard_normal(30), 25)
 
+    @pytest.mark.parametrize("k_max", [49, 80])
+    def test_kmax_without_residual_dof(self, k_max):
+        # T = 100: the largest candidate's 50 columns leave no degree of
+        # freedom in the common sample's 100 - k_max - 1 rows
+        with pytest.raises(DataError, match="too few observations"):
+            mbic_lag_select(np.random.default_rng(0).standard_normal(100), k_max)
+
+    # Scales are powers of two in the range of daily returns' SDs, so that
+    # rescaling is exact.  The oracle solves the normal equations, which lose
+    # about cond(W)^2 * eps relative to the terms of MBIC, ln(sigma2) and the
+    # penalty, not to their sum; where the sum crosses zero (a 50-digit
+    # reference put the oracle 1.6e-10 relative off at MBIC = -0.046, and the
+    # QR route 4e-13), the tolerance is 1e-10 of the table's largest value.
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(40, 400), st.integers(0, 12), st.floats(-0.9, 0.98),
+           st.floats(-0.9, 0.9), st.integers(-12, -2), st.integers(0, 2**32 - 1))
+    def test_one_factorization_matches_exhaustive_oracle(self, T, k_max, a, theta, log2_sd, seed):
+        # ARMA(1,1) data: the MA part calls for augmentation lags
+        k_max = min(k_max, T - 20)
+        e = np.random.default_rng(seed).standard_normal(T + 1) * 2.0**log2_sd
+        y = np.empty(T)
+        y[0] = e[1]
+        for t in range(1, T):
+            y[t] = a * y[t - 1] + e[t + 1] + theta * e[t]
+        yd = gls_detrend(y, "constant")
+        oracle = oracle_mic_table(yd, k_max)
+        np.testing.assert_allclose(_mbic_values(yd, k_max), oracle, rtol=1e-10,
+                                   atol=1e-10 * np.abs(oracle).max())
+        assert mbic_lag_select(yd, k_max) == int(np.argmin(oracle))
+
 
 class TestAdfGls:
     def test_pinned_trend_critical_value(self):
@@ -190,6 +223,14 @@ class TestAdfGls:
     def test_reject_flag_consistency(self):
         res = adf_gls(ar1(400, 0.5, seed=5), model="trend", k_max=5)
         assert res.rejects_at("1%") == (res.statistic < res.critical_values["1%"])
+
+    @pytest.mark.parametrize("model, lag", [("constant", 2), ("trend", 3)])
+    def test_two_level_bounce_is_data_error(self, model, lag):
+        # returns bouncing between two levels repeat with period 2; once numpy's
+        # LinAlgError from inverting a singular Gram matrix.  The trend's slope
+        # adds a constant to every difference, one more independent regressor
+        with pytest.raises(DataError, match=f"collinear: lagged difference {lag} "):
+            adf_gls(0.01 * (-1.0) ** np.arange(600), model=model)
 
     def test_default_max_lag_rule(self):
         assert default_max_lag(100) == 12
