@@ -348,8 +348,8 @@ def unitroot_stage(config: PipelineConfig, out: Path,
     for label, column in zip(returns.labels, returns.values.T):
         try:
             tests.append(adf_gls(column, model=config.unitroot_model, k_max=config.unitroot_k_max))
-        except DataError as exc:
-            raise DataError(f"series {label!r}: {exc}") from exc
+        except (DataError, NumericalError) as exc:
+            raise type(exc)(f"series {label!r}: {exc}") from exc
     rows = _stats_rows(descriptive_stats(returns))
     for row, t in zip(rows, tests):  # N stays the last column
         row.update(adf_gls=t.statistic, lags=t.selected_lag, phi_hat=t.phi_hat, n=row.pop("n"))

@@ -266,6 +266,32 @@ def _lagged(values: np.ndarray, q: int) -> np.ndarray:
     return Z
 
 
+# A column whose distance from the span of the columns before it is below
+# this share of its norm is collinear: the Gram matrix, which squares that
+# distance, would be singular to working precision.
+_COLLINEAR_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _qr_least_squares(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The one least-squares routine: one QR of ``A = [W | Y]``, W its first p columns.
+
+    Q is never formed (``np.linalg.qr(mode="r")``).  Returns ``(QtY, R_inv,
+    collinear)``.  ``QtY`` is R's columns of Y: the coefficients are
+    ``R_inv @ QtY[:p]``, and the fit on W's first j columns has residual
+    cross products ``QtY[j:].T @ QtY[j:]`` (Golub & Van Loan, Matrix
+    Computations, 4th ed., 5.3).  ``collinear`` marks W's columns with
+    |R_jj| not above ``_COLLINEAR_TOL`` times their norm; ``R_inv``
+    inverts W's triangle and is None if any is marked.
+    """
+    R = np.linalg.qr(A, mode="r")
+    if R.shape[0] < R.shape[1]:  # fewer rows than columns: pad R with zero rows
+        R = np.vstack([R, np.zeros((R.shape[1] - R.shape[0], R.shape[1]))])
+    Rw = R[:p, :p]
+    collinear = ~(np.abs(np.diagonal(Rw)) > _COLLINEAR_TOL * np.hypot.reduce(Rw, axis=0))
+    R_inv = None if collinear.any() else np.linalg.inv(Rw)
+    return R[:, p:], R_inv, collinear
+
+
 def _natural_spline(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Natural cubic spline through the knots ``(x, y)``, evaluated at ``xi``.
 

@@ -79,18 +79,14 @@ class ScenarioSpec:
                 raise DataError("coeff must be finite")
 
 
-def _companion_radius(A_t: np.ndarray) -> float:
-    """Spectral radius of the companion matrix of one period's matrices."""
-    q, n, _ = A_t.shape
-    comp = np.zeros((n * q, n * q))
-    comp[:n] = A_t.transpose(1, 0, 2).reshape(n, n * q)
-    if q > 1:
-        comp[n:, : n * (q - 1)] = np.eye(n * (q - 1))
-    return float(np.max(np.abs(np.linalg.eigvals(comp))))
-
-
 def _max_radius(path: np.ndarray) -> float:
-    return max(_companion_radius(path[t]) for t in range(path.shape[0]))
+    """Largest spectral radius of the companion matrices of a (T, q, n, n) path."""
+    T, q, n, _ = path.shape
+    comp = np.zeros((T, n * q, n * q))
+    comp[:, :n] = path.transpose(0, 2, 1, 3).reshape(T, n, n * q)
+    if q > 1:
+        comp[:, n:, : n * (q - 1)] = np.eye(n * (q - 1))
+    return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
 def _coefficient_path(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:

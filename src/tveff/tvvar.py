@@ -43,7 +43,7 @@ import numpy as np
 
 from ._lapack import dpbtrf, dtbtrs
 from .errors import DataError, NumericalError
-from .series import ReturnMatrix, _coerce_values
+from .series import _COLLINEAR_TOL, ReturnMatrix, _coerce_values
 
 __all__ = [
     "StackedSystem",
@@ -64,9 +64,6 @@ _FAST_COND_LIMIT = 1e8
 # trigonometric eigenvalue formula is below this; above it the formula's
 # rounding stays within about 1e-13 relative.
 _DOUBLE_ROOT_MARGIN = 1e-6
-# Centred unit-norm lag rows with a smallest singular value below sqrt(eps)
-# are collinear: their Gram matrix, squaring it, is singular to working precision.
-_COLLINEAR_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
@@ -379,7 +376,7 @@ def _zeta_svd(S: np.ndarray) -> np.ndarray:
     """
     m, n, _ = S.shape
     sv = np.linalg.svd(S, compute_uv=False)  # (m, n), descending
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = sv[:, 0] / sv[:, -1]
     zeta = np.full(m, np.nan)
     ok = np.isfinite(cond) & (cond <= _COND_LIMIT)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .series import _return_values
+from .series import _qr_least_squares, _return_values
 
 __all__ = [
     "AdfGlsResult",
@@ -31,11 +31,6 @@ __all__ = [
 ]
 
 C_BAR = {"constant": -7.0, "trend": -13.5}
-
-# A lag column whose distance from the span of the columns before it is
-# below this share of its norm makes the ADF Gram matrix singular to
-# working precision, since the Gram matrix squares it.
-_COLLINEAR_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 # Asymptotic critical values of the detrended ADF t-ratio.  The
 # constant-only case follows the no-deterministics Dickey-Fuller law;
@@ -97,8 +92,9 @@ def gls_detrend(y: np.ndarray, model: str = "trend") -> np.ndarray:
     za[0] = z[0]
     za[1:] = z[1:] - alpha * z[:-1]
 
-    delta, *_ = np.linalg.lstsq(za, ya, rcond=None)
-    return y - z @ delta
+    p = z.shape[1]
+    QtY, R_inv, _ = _qr_least_squares(np.column_stack([za, ya]), p)  # za is never collinear
+    return y - z @ (R_inv @ QtY[:p, 0])
 
 
 def default_max_lag(T: int) -> int:
@@ -106,70 +102,45 @@ def default_max_lag(T: int) -> int:
     return int(np.floor(12.0 * (T / 100.0) ** 0.25))
 
 
-def _adf_regression(yd: np.ndarray, k: int, t_start: int) -> tuple[float, float, float, np.ndarray]:
-    """ADF regression of d(yd) on yd lagged once and k lagged differences.
+def _adf_fit(yd: np.ndarray, k: int, t_start: int) -> tuple[np.ndarray, np.ndarray]:
+    """QR of the regression of d(yd)_t on [yd_{t-1}, d(yd)_{t-1}, ..., d(yd)_{t-k}], t >= t_start.
 
-    Rows are 0-based positions ``t_start..T-1`` of ``yd``.  Returns
-    (beta0, se_beta0, rss, b) with ``b`` the lagged-difference coefficients.
+    Returns ``b = Q' d(yd)_t`` (k + 2 entries, the last the residual's) and
+    R^-1; a collinear column is a :class:`DataError` naming that lag.
     """
     T = yd.shape[0]
     dy = np.diff(yd)
     rows = np.arange(t_start, T)
-    lhs = dy[rows - 1]  # d(yd)_t for t in rows
-    cols = [yd[rows - 1]]
-    cols.extend(dy[rows - 1 - j] for j in range(1, k + 1))
-    W = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(W, lhs, rcond=None)
-    resid = lhs - W @ coef
-    rss = float(resid @ resid)
-    nobs, ncol = W.shape
-    dof = nobs - ncol
-    if dof <= 0:
-        raise DataError("too few observations for the requested lag order")
-    gram_inv = np.linalg.inv(W.T @ W)
-    se0 = float(np.sqrt(rss / dof * gram_inv[0, 0]))
-    return float(coef[0]), se0, rss, coef[1:]
-
-
-def _mbic_values(yd: np.ndarray, k_max: int) -> np.ndarray:
-    """MBIC(k) for k = 0..k_max, every candidate from one QR of the largest design.
-
-    The candidates are nested: candidate k regresses on the first k + 1
-    columns of ``W = [yd_{t-1}, d(yd)_{t-1}, ..., d(yd)_{t-k_max}]``.  With
-    ``W = QR`` and ``b = Q' d(yd)_t``, candidate k's residual sum of squares
-    is the full model's plus ``sum_{i>k} b_i^2``, and its level coefficient
-    is ``sum_{i<=k} (R^-1)_{0i} b_i``, because the leading block of ``R^-1``
-    inverts the leading block of ``R`` (Golub & Van Loan, Matrix
-    Computations, 4th ed., 5.3).  A column that is a linear combination of
-    the ones before it to within sqrt(eps) of its norm, where the Gram
-    matrix of :func:`_adf_regression` would be singular to working
-    precision, is a :class:`DataError` naming that lag.
-    """
-    T = yd.shape[0]
-    n_pen = T - k_max
-    rows = np.arange(k_max + 1, T)
-    dy = np.diff(yd)
-    lhs = dy[rows - 1]
-    W = np.column_stack([yd[rows - 1], *(dy[rows - 1 - j] for j in range(1, k_max + 1))])
-    level_energy = float(W[:, 0] @ W[:, 0])
-    if level_energy == 0.0 and not np.any(yd):
-        raise DataError("detrended series is identically zero")
-    Q, R = np.linalg.qr(W)
-    collinear = ~(np.abs(np.diag(R)) > _COLLINEAR_TOL * np.linalg.norm(W, axis=0))
+    A = np.column_stack([yd[rows - 1], *(dy[rows - 1 - j] for j in range(1, k + 1)), dy[rows - 1]])
+    QtY, R_inv, collinear = _qr_least_squares(A, k + 1)
     if collinear.any():
         j = int(np.argmax(collinear))
         what = "the lagged level" if j == 0 else f"lagged difference {j}"
         raise DataError(f"ADF-GLS lag design is collinear: {what} is a linear combination "
                         "of the regressors before it")
-    b = Q.T @ lhs
-    resid = lhs - Q @ b
-    tail = np.append(np.cumsum((b * b)[:0:-1])[::-1], 0.0)  # sum_{i>k} b_i^2
-    rss = float(resid @ resid) + tail
+    return QtY[:, 0], R_inv
+
+
+def _mbic_values(yd: np.ndarray, k_max: int) -> np.ndarray:
+    """MBIC(k) for k = 0..k_max, every candidate from one QR of the largest design.
+
+    Candidate k regresses on the first k + 1 columns of :func:`_adf_fit`'s
+    design for k_max.  Its residual sum of squares is ``sum_{i>k} b_i^2``,
+    and its level coefficient ``sum_{i<=k} (R^-1)_{0i} b_i``, since the
+    leading block of R^-1 inverts the leading block of R.
+    """
+    T = yd.shape[0]
+    n_pen = T - k_max
+    if not np.any(yd):
+        raise DataError("detrended series is identically zero")
+    b, R_inv = _adf_fit(yd, k_max, k_max + 1)
+    rss = np.cumsum((b * b)[::-1])[::-1][1:]  # sum_{i>k} b_i^2
     if not rss.min() > 0:
         raise DataError("zero residual variance in lag-selection regression")
-    beta0 = np.cumsum(np.linalg.inv(R)[0] * b)
+    level = yd[k_max: T - 1]  # yd_{t-1} over the common sample
+    beta0 = np.cumsum(R_inv[0] * b[:-1])
     sigma2 = rss / n_pen
-    tau = beta0 * beta0 * level_energy / sigma2
+    tau = beta0 * beta0 * float(level @ level) / sigma2
     return np.log(sigma2) + np.log(n_pen) * (tau + np.arange(k_max + 1)) / n_pen
 
 
@@ -216,16 +187,20 @@ def adf_gls(y: np.ndarray, model: str = "trend", k_max: int | None = None) -> Ad
     if scale == 0.0 or np.var(yd) < 1e-24 * max(1.0, scale) ** 2:
         raise DataError("degenerate input: no variation after GLS detrending")
     k = mbic_lag_select(yd, k_max=k_max)
-    beta0, se0, rss, b = _adf_regression(yd, k, t_start=k + 1)
+    b, R_inv = _adf_fit(yd, k, t_start=k + 1)
+    coef = R_inv @ b[:-1]
+    rss = float(b[-1] ** 2)
+    # (W'W)^-1_00 is the squared norm of row 0 of R^-1; mbic_lag_select left dof > 0
+    se0 = float(np.sqrt(rss / (T - 2 * k - 2) * (R_inv[0] @ R_inv[0])))
     if rss <= 0 or se0 == 0.0:
         raise DataError("degenerate input: zero residual variance in ADF regression")
-    stat = beta0 / se0
+    stat = coef[0] / se0
     if not np.isfinite(stat):
         raise NumericalError("ADF t-ratio is not finite")
     return AdfGlsResult(
         statistic=float(stat),
         selected_lag=int(k),
-        phi_hat=float(np.sum(b)),
+        phi_hat=float(np.sum(coef[1:])),
         model=model,
         critical_values=dict(CRITICAL_VALUES[model]),
     )

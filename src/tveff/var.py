@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .series import ReturnMatrix, _coerce_values, _lagged
+from .series import ReturnMatrix, _coerce_values, _lagged, _qr_least_squares
 from .tvvar import zeta_from_coefficient_stack
 
 __all__ = [
@@ -48,8 +48,9 @@ class VarFit:
 
     ``A[l]`` is the coefficient matrix on lag l+1 with rows indexing
     equations; ``sigma`` divides by the number of residual rows.  The
-    regressor matrix is retained for downstream covariance and
-    constancy computations.
+    regressor matrix W and the inverse of its QR triangle, with
+    (W'W)^-1 = R^-1 R^-T and zeros at all-zero regressors, are retained
+    for downstream covariance and constancy computations.
     """
 
     q: int
@@ -60,6 +61,7 @@ class VarFit:
     labels: tuple[str, ...]
     adj_r2: np.ndarray  # (n,)
     regressors: np.ndarray = field(repr=False)  # (T-q, 1+n*q)
+    r_inv: np.ndarray = field(repr=False)  # (1+n*q, 1+n*q), upper triangular
 
     @property
     def n_series(self) -> int:
@@ -90,6 +92,38 @@ class HacCovariance:
     bandwidth: int
 
 
+def _var_qr(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """QR of the design ``W = (1, x'_{t-1}, ..., x'_{t-q})`` of rows t >= q, targets x_t appended.
+
+    Returns ``(W, active, QtY, R_inv)``, the QR taken over the active
+    columns, those not identically zero.  A collinear active column is a
+    :class:`NumericalError`, and so are returns whose products overflow,
+    with (max |x| * T)^2 not finite, which bounds every sum of products
+    that the fit, its HAC covariance and the constancy test form, or
+    underflow, with an active column's sum of squares not a normal float.
+    """
+    T, n = values.shape
+    with np.errstate(over="ignore"):  # an overflowing bound is rejected below
+        bound = (np.abs(values).max() * T) ** 2
+    if not np.isfinite(bound):
+        raise NumericalError("the products of the returns overflow")
+    p = 1 + n * q
+    A = np.empty((T - q, p + n))  # [W | x_t]
+    A[:, 0] = 1.0
+    A[:, 1:p] = _lagged(values, q)
+    A[:, p:] = values[q:]
+    W = A[:, :p]
+    active = np.any(W != 0.0, axis=0)
+    if (np.einsum("ij,ij->j", W, W)[active] < np.finfo(np.float64).tiny).any():
+        raise NumericalError("the products of the returns underflow")
+    k = int(active.sum())
+    QtY, R_inv, collinear = _qr_least_squares(
+        A if k == p else A[:, np.append(active, [True] * n)], k)
+    if collinear.any():
+        raise NumericalError(f"rank-deficient regressor matrix (rank {k - collinear.sum()} < {k})")
+    return W, active, QtY, R_inv
+
+
 def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
     """Schwarz-criterion VAR order over a common estimation sample.
 
@@ -99,8 +133,9 @@ def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
         SBIC(q) = ln det(Sigma_q) + (ln T* / T*) * q * n^2,   T* = T - q_max.
 
     Only slope parameters are penalized; intercept and covariance terms
-    are constant across q and cancel from the argmin.  Each candidate is
-    the :func:`fit_var` of the rows from ``q_max - q`` on.
+    are constant across q and cancel from the argmin.  Candidate q's
+    regressors lead the q_max design, so one QR of it gives every
+    candidate's residual cross products.
     """
     values, _, _ = _coerce_values(X)
     T, n = values.shape
@@ -110,24 +145,18 @@ def select_lag_sbic(X: ReturnMatrix | np.ndarray, q_max: int) -> int:
     if t_star < 10 * (1 + n * q_max):
         raise DataError(f"sample too short for q_max={q_max} (T*={t_star})")
 
+    _, active, QtY, _ = _var_qr(values, q_max)
+    ends = np.cumsum(active)[n * np.arange(1, q_max + 1)]  # active columns of each candidate
     best_q, best_crit = 1, np.inf
-    for q in range(1, q_max + 1):
-        sign, logdet = np.linalg.slogdet(fit_var(values[q_max - q:], q).sigma)
+    for q, end in enumerate(ends, start=1):
+        E = QtY[end:]  # the residual triangle of candidate q
+        sign, logdet = np.linalg.slogdet(E.T @ E / t_star)
         if sign <= 0:
             raise NumericalError(f"singular residual covariance at q={q}")
         crit = float(logdet + (np.log(t_star) / t_star) * q * n * n)
         if crit < best_crit:
             best_crit, best_q = crit, q
     return best_q
-
-
-def _active_columns(W: np.ndarray) -> np.ndarray:
-    """Mask of the regressor columns that are not identically zero.
-
-    An all-zero column (a zero return series) has a zero coefficient by
-    definition, so the fit and its covariance work on the others only.
-    """
-    return np.any(W != 0.0, axis=0)
 
 
 def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
@@ -144,38 +173,24 @@ def fit_var(X: ReturnMatrix | np.ndarray, q: int) -> VarFit:
     if T <= q + p:
         raise DataError(f"T={T} too small for VAR({q}) with {n} series")
 
-    W = np.column_stack([np.ones(T - q), _lagged(values, q)])  # (1, x'_{t-1}, ..., x'_{t-q})
-    Y = values[q:]
-    # any rank deficiency among the active columns is a genuine collinearity problem
-    active = _active_columns(W)
+    W, active, QtY, R_inv = _var_qr(values, q)
+    k = R_inv.shape[0]
     coef = np.zeros((p, n))
-    sub, _, rank, _ = np.linalg.lstsq(W[:, active], Y, rcond=None)
-    if rank < int(active.sum()):
-        raise NumericalError(
-            f"rank-deficient regressor matrix (rank {rank} < {int(active.sum())})"
-        )
-    coef[active] = sub
-    resid = Y - W @ coef
+    coef[active] = R_inv @ QtY[:k]
+    r_inv = np.zeros((p, p))
+    r_inv[np.ix_(active, active)] = R_inv
+    resid = values[q:] - W @ coef
     nobs = W.shape[0]
-    sigma = resid.T @ resid / nobs
-
-    tss = np.sum((Y - Y.mean(axis=0)) ** 2, axis=0)
-    rss = np.sum(resid**2, axis=0)
+    # residual cross products from the QR: of the full fit, and of the intercept alone
+    sigma = QtY[k:].T @ QtY[k:] / nobs
+    tss, rss = np.einsum("ij,ij->j", QtY[1:], QtY[1:]), np.diagonal(sigma) * nobs
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(tss > 0, rss / tss, 0.0)
     adj_r2 = 1.0 - ratio * (nobs - 1) / (nobs - p)
 
     A = [coef[1 + (l - 1) * n: 1 + l * n].T.copy() for l in range(1, q + 1)]
-    return VarFit(
-        q=q,
-        nu=coef[0].copy(),
-        A=A,
-        residuals=resid,
-        sigma=sigma,
-        labels=labels,
-        adj_r2=adj_r2,
-        regressors=W,
-    )
+    return VarFit(q=q, nu=coef[0].copy(), A=A, residuals=resid, sigma=sigma, labels=labels,
+                  adj_r2=adj_r2, regressors=W, r_inv=r_inv)
 
 
 def newey_west_cov(fit: VarFit) -> HacCovariance:
@@ -183,30 +198,28 @@ def newey_west_cov(fit: VarFit) -> HacCovariance:
 
     The bandwidth is L = floor(4 * (T/100)^(2/9)) on the estimation
     sample, which is at least 1 and below T.  No small-sample
-    degrees-of-freedom adjustment is applied.  The Gram matrix is inverted
-    over the columns :func:`fit_var` estimates; an all-zero regressor
-    column's coefficient is zero by definition, and its standard error and
-    covariances are 0.
+    degrees-of-freedom adjustment is applied.  The sandwich
+    (W'W)^-1 S (W'W)^-1 is R^-1 S_u R^-T, with S_u the Bartlett sum over
+    u_t = R^-T w_t e_t, which stays on the scale of the squared returns.
+    An all-zero regressor's standard error and covariances are 0.
     """
     W = fit.regressors
     nobs, p = W.shape
     L = int(np.floor(4.0 * (nobs / 100.0) ** (2.0 / 9.0)))
 
-    active = _active_columns(W)
-    Wa = W[:, active]  # one operand on both sides keeps numpy's symmetric Gram product
-    gram_inv = np.zeros((p, p))
-    gram_inv[np.ix_(active, active)] = np.linalg.inv(Wa.T @ Wa)
     n = fit.n_series
     cov = np.empty((n, p, p))
     for j in range(n):
-        e = fit.residuals[:, j]
-        We = W * e[:, None]
-        S = We.T @ We
+        U = (W * fit.residuals[:, j][:, None]) @ fit.r_inv
+        S = U.T @ U
         for l in range(1, L + 1):
             weight = 1.0 - l / (L + 1.0)
-            Sl = We[l:].T @ We[:-l]
+            Sl = U[l:].T @ U[:-l]
             S += weight * (Sl + Sl.T)
-        cov[j] = gram_inv @ S @ gram_inv
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cov is rejected below
+            cov[j] = fit.r_inv @ S @ fit.r_inv.T
+    if not np.isfinite(cov).all():
+        raise NumericalError("the HAC covariance overflows: the regressors' scales differ too much")
     se = np.sqrt(np.maximum(np.einsum("jpp->jp", cov), 0.0)).T  # (p, n)
     return HacCovariance(se=se, cov=cov, bandwidth=L)
 
@@ -270,33 +283,24 @@ def hansen_lc(fit: VarFit) -> ConstancyTest:
     dof = n * (p + 1) moment conditions.  With cumulative sums s_t and
     outer-product matrix V = sum_t f_t f_t',
 
-        Lc = (1/T*) * sum_t s_t' V^{-1} s_t.
+        Lc = (1/T*) * sum_t s_t' V^{-1} s_t = ||S R^-1||_F^2 / T*,
+
+    where F = QR stacks the f_t' and S the s_t', since V = R'R.  A
+    collinear column of F makes V singular.
     """
-    W = fit.regressors
-    nobs, p = W.shape
-    n = fit.n_series
-    blocks = []
-    for j in range(n):
-        e = fit.residuals[:, j]
-        sigma2 = float(e @ e) / nobs
-        blocks.append(np.column_stack([W * e[:, None], e**2 - sigma2]))
-    F = np.hstack(blocks)  # (nobs, n*(p+1))
-    S = np.cumsum(F, axis=0)
-    V = F.T @ F
-    try:
-        VS = np.linalg.solve(V, S.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular moment outer-product matrix") from exc
-    lc = float(np.sum(S.T * VS) / nobs)
+    W, E = fit.regressors, fit.residuals
+    nobs = W.shape[0]
+    # equation j's block of F: the products w_t e_tj, then e_tj^2 - sigma_jj
+    centred = E * E - np.diagonal(fit.sigma)
+    F = np.concatenate([W[:, None, :] * E[..., None], centred[..., None]], axis=2).reshape(nobs, -1)
+    _, R_inv, collinear = _qr_least_squares(F, F.shape[1])
+    if collinear.any():
+        raise NumericalError("singular moment outer-product matrix")
+    lc = float(np.sum(np.square(np.cumsum(F, axis=0) @ R_inv)) / nobs)
     dof = F.shape[1]
     crit = constancy_critical_values(dof)
-    return ConstancyTest(
-        lc_statistic=lc,
-        dof=dof,
-        critical_values=crit,
-        level="5%",
-        reject=lc > crit["5%"],
-    )
+    return ConstancyTest(lc_statistic=lc, dof=dof, critical_values=crit, level="5%",
+                         reject=lc > crit["5%"])
 
 
 def efficiency_degree(A: list[np.ndarray] | np.ndarray) -> float:

@@ -558,20 +558,23 @@ class TestCli:
             assert (tmp_path / "bom" / artifact).read_bytes() == \
                 (tmp_path / "plain" / artifact).read_bytes(), artifact
 
-    @pytest.mark.parametrize("command", ["stats", "unitroot", "tvvar", "bootstrap"])
-    def test_overflowing_returns_exit_code_3(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, order", [
+        ("stats", []), ("unitroot", []), ("var", []), ("var", ["--q", "1"]),
+        ("tvvar", ["--q", "1"]), ("bootstrap", ["--q", "1"])],
+        ids=["stats", "unitroot", "var", "var-q1", "tvvar", "bootstrap"])
+    def test_overflowing_returns_exit_code_3(self, tmp_path, capsys, command, order):
         # finite returns whose squares and products overflow to inf; the
         # one error line is all a command prints (warnings fail the suite)
         values = np.random.default_rng(0).normal(size=(300, 2)) * 1e160
         p_ret = tmp_path / "returns.csv"
         write_returns_csv(p_ret, ReturnMatrix(dates=np.datetime64("2000-01-03") + np.arange(300),
                                               values=values, labels=("a", "b")))
-        order = ["--q", "1"] if command in ("tvvar", "bootstrap") else []
         assert run_cli(command, "--returns", str(p_ret), *order,
                        "-o", str(tmp_path / "out")) == 3
         message = {
             "stats": "the SD of return column 'a' overflows",
-            "unitroot": "the sum of squares of the detrended series overflows",
+            "unitroot": "series 'a': the sum of squares of the detrended series overflows",
+            "var": "the products of the returns overflow",
         }.get(command, "normal equations are not finite: the products of the returns overflow")
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any((tmp_path / "out").iterdir())
@@ -793,6 +796,36 @@ class TestCli:
                        "-o", str(tmp_path / "out")) == 3
         assert capsys.readouterr().err == "error: singular moment outer-product matrix\n"
         assert not list((tmp_path / "out").glob("table2.*"))
+
+    def test_var_near_collinear_lags_exit_code_3(self, tmp_path, capsys):
+        # b = 3a up to 1e-11 noise: the lag design is collinear to working
+        # precision, as the TV-VAR's check finds too, so Table 2 is not written
+        rng = np.random.default_rng(0)
+        a = rng.normal(0, 0.01, size=300)
+        values = np.column_stack([a, 3.0 * a + 1e-11 * rng.normal(size=300)])
+        p_ret = tmp_path / "returns.csv"
+        write_returns_csv(p_ret, ReturnMatrix(dates=np.datetime64("2000-01-03") + np.arange(300),
+                                              values=values, labels=("a", "b")))
+        assert run_cli("var", "--returns", str(p_ret), "--q", "1",
+                       "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == "error: rank-deficient regressor matrix (rank 2 < 3)\n"
+        assert not list((tmp_path / "out").glob("table2.*"))
+        assert run_cli("tvvar", "--returns", str(p_ret), "--q", "1",
+                       "-o", str(tmp_path / "tv")) == 3
+        assert capsys.readouterr().err.startswith("error: lagged returns are collinear")
+
+    def test_var_overflowing_standard_error_exit_code_3(self, tmp_path, capsys):
+        # returns near 1e150 beside returns of scale 1e-20: the fit is finite,
+        # but the standard error of the small series' coefficient is not
+        base = np.random.default_rng(0).normal(0, 0.01, size=(300, 2))
+        p_ret = tmp_path / "returns.csv"
+        write_returns_csv(p_ret, ReturnMatrix(dates=np.datetime64("2000-01-03") + np.arange(300),
+                                              values=base * [1e152, 2.0**-60], labels=("a", "b")))
+        assert run_cli("var", "--returns", str(p_ret), "--q", "1",
+                       "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == ("error: the HAC covariance overflows: the regressors' "
+                                           "scales differ too much\n")
+        assert not any((tmp_path / "out").iterdir())
 
     def test_chained_equals_single_shot(self, tmp_path):
         prices, _ = synth_prices(tmp_path, T=200, period=100.0)

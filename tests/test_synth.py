@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tveff.synth
 from tveff.cli import main
 from tveff.errors import DataError
 from tveff.synth import ScenarioSpec, gen_returns, true_zeta_path
@@ -111,6 +112,37 @@ class TestGenReturns:
     def test_path_shape(self):
         _, path = gen_returns(ScenarioSpec(kind="iid", T=100, n=3, q=2, seed=6))
         assert path.shape == (100, 2, 3, 3)
+
+
+def loop_max_radius(path):
+    """Companion-matrix spectral radius period by period: the batched routine's oracle."""
+    radii = []
+    for A_t in path:
+        q, n, _ = A_t.shape
+        comp = np.zeros((n * q, n * q))
+        comp[:n] = A_t.transpose(1, 0, 2).reshape(n, n * q)
+        if q > 1:
+            comp[n:, : n * (q - 1)] = np.eye(n * (q - 1))
+        radii.append(float(np.max(np.abs(np.linalg.eigvals(comp)))))
+    return max(radii)
+
+
+class TestBatchedRadius:
+    SPECS = [dict(kind="sinusoidal-tv", amplitude=0.3, period=150.0),
+             dict(kind="randomwalk-tv", sigma_v=0.01)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["sinusoidal", "randomwalk"])
+    @pytest.mark.parametrize("n, q", [(2, 1), (3, 2), (2, 3)])
+    def test_gen_returns_bit_identical_to_the_loop(self, monkeypatch, spec, n, q):
+        for seed in range(3):
+            spec_ = ScenarioSpec(T=300, n=n, q=q, seed=seed, **spec)
+            X, path = gen_returns(spec_)
+            assert tveff.synth._max_radius(path) == loop_max_radius(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(tveff.synth, "_max_radius", loop_max_radius)
+                X_loop, path_loop = gen_returns(spec_)
+            assert np.array_equal(X.values, X_loop.values)
+            assert np.array_equal(path, path_loop)
 
 
 class TestTrueZetaPath:

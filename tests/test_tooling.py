@@ -177,6 +177,20 @@ def test_readme_module_table_names_every_module():
                                    for info in pkgutil.iter_modules(tveff.__path__))
 
 
+def test_one_least_squares_routine():
+    # every regression goes through series._qr_least_squares: no SVD least
+    # squares, and no Gram matrix W'W formed to be inverted or solved
+    for path in sorted((ROOT / "src" / "tveff").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "lstsq" not in text, path.name
+        grams = set(re.findall(r"^\s*(\w+) = .*\.T @", text, re.MULTILINE))
+        for arg in re.findall(r"\b(?:inv|solve)\(([^,()]*)", text):
+            assert ".T @" not in arg and arg.strip() not in grams, (path.name, arg)
+    assert re.findall(r"^_COLLINEAR_TOL =", "".join(
+        p.read_text(encoding="utf-8") for p in (ROOT / "src" / "tveff").glob("*.py")),
+        re.MULTILINE) == ["_COLLINEAR_TOL ="]
+
+
 @pytest.mark.parametrize("module", ["tveff"] + [
     f"tveff.{info.name}" for info in pkgutil.iter_modules(tveff.__path__)])
 def test_all_names_resolve(module):

@@ -254,6 +254,12 @@ class TestHansenLc:
         X, _ = gen_returns(ScenarioSpec(kind="iid", T=300, n=1, seed=15))
         assert hansen_lc(fit_var(X, 1)).lc_statistic >= 0.0
 
+    def test_fewer_observations_than_moments_is_singular(self):
+        # 7 rows and 8 pooled moments: V has rank 7 at most
+        fit = fit_var(np.random.default_rng(0).normal(size=(8, 2)), 1)
+        with pytest.raises(NumericalError, match="singular moment outer-product matrix"):
+            hansen_lc(fit)
+
     def test_critical_values_monotone_in_dof(self):
         prev = 0.0
         for dof in range(1, 61):
